@@ -1,7 +1,7 @@
 // Package repro benchmarks every experiment of the paper: one benchmark per
 // Table I row family (protocol synthesis per code and method) and one per
 // Fig. 4 series (noise-simulation throughput and full stratified estimates),
-// plus ablation benchmarks for the design choices called out in DESIGN.md.
+// plus ablation benchmarks for the encoding and protocol design choices.
 package repro
 
 import (
@@ -187,7 +187,7 @@ func BenchmarkFig4Adaptive(b *testing.B) {
 	est := sim.NewEstimator(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := est.DirectMCAdaptive(context.Background(), 0.02, 0.1, 5_000_000, int64(i+1), 0)
+		res, err := est.AdaptiveModel(context.Background(), sim.MethodDirect, noise.Uniform(0.02), 0.1, 5_000_000, int64(i+1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func BenchmarkFTCertificate(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md): encoding and protocol design choices.
+// Ablations: encoding and protocol design choices.
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationPairPruning compares correction synthesis with and

@@ -251,7 +251,7 @@ func (w *worker) runShard(ctx context.Context, task shardrpc.Task) (sim.Counts, 
 		if err := ctx.Err(); err != nil {
 			return sim.Counts{}, err
 		}
-		br.RunBlock(ctx, task.Seed, b, task.BlockShots(b))
+		br.RunBlock(ctx, task.Seed, b, sim.ShotsInBlock(b, task.Budget))
 	}
 	if err := ctx.Err(); err != nil {
 		return sim.Counts{}, err

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/code"
 	"repro/internal/core"
+	"repro/internal/noise"
 	"repro/internal/sim"
 )
 
@@ -36,7 +37,7 @@ func main() {
 	rng := rand.New(rand.NewSource(99))
 	est := sim.NewEstimator(proto)
 
-	det, err := est.DirectMC(*pp, *shots, rng)
+	det, err := est.AdaptiveModel(context.Background(), sim.MethodDirect, noise.Uniform(*pp), 0, *shots, rng.Int63(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func main() {
 	fmt.Printf("%-28s %-14s %-14s\n", "", "deterministic", "repeat-until-success")
 	fmt.Printf("%-28s %-14s %-14.3f\n", "mean preparation rounds", "1 (always)", rus.MeanAttempts)
 	fmt.Printf("%-28s %-14s %-14.3f\n", "acceptance rate per round", "1 (always)", rus.AcceptRate)
-	fmt.Printf("%-28s %-14.4g %-14.4g\n", "logical error rate", det, rus.LogicalRate)
+	fmt.Printf("%-28s %-14.4g %-14.4g\n", "logical error rate", det.PL, rus.LogicalRate)
 	fmt.Println("\nthe deterministic protocol trades the baseline's stochastic")
 	fmt.Println("restart overhead for a few conditional measurements, keeping")
 	fmt.Println("the same quadratic error suppression (paper, Section III.B).")

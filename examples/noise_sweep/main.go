@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/code"
 	"repro/internal/core"
+	"repro/internal/noise"
 	"repro/internal/sim"
 )
 
@@ -43,11 +44,11 @@ func main() {
 		strat := res.Rate(p)
 		mc := "-"
 		if p >= 1e-2 {
-			v, err := est.DirectMC(p, 40000, rng)
+			v, err := est.AdaptiveModel(ctx, sim.MethodDirect, noise.Uniform(p), 0, 40000, rng.Int63(), 0)
 			if err != nil {
 				log.Fatal(err)
 			}
-			mc = fmt.Sprintf("%.3g", v)
+			mc = fmt.Sprintf("%.3g", v.PL)
 		}
 		fmt.Printf("%-10.1e %-12.3g %-12s %-10.3g\n", p, strat, mc, strat/(p*p))
 	}

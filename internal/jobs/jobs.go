@@ -14,14 +14,15 @@
 // durable, so a killed process resumes from the last record that made it
 // to disk.
 //
-// Sharding rides on the deterministic block scheduler of internal/sim:
-// each point's budget is cut into sim.BlockShots-shot blocks whose RNG
-// streams are keyed by block index, shards are fixed runs of ShardBlocks
-// consecutive blocks, and the adaptive stopping rule is evaluated at the
-// same sim.BlocksPerRound boundaries the in-process estimators use.
+// Sharding rides on the round scheduler of internal/sim: each point runs
+// on sim.RunRounds — the function the in-process estimators call — which
+// cuts the budget into sim.BlockShots-shot blocks whose RNG streams are
+// keyed by block index and evaluates the adaptive stopping rule every
+// sim.BlocksPerRound blocks; shards are fixed runs of ShardBlocks
+// consecutive blocks.
 // Because shard (shots, fails, strata) counts pool by exact integer
 // addition (sim.PoolCounts) and the coordinator recomputes the statistics
-// from the pooled counts (sim.Counts.Result), a job's results are
+// from the pooled counts (sim.Counts.ResultModel), a job's results are
 // bit-identical to a single-process estimate with the same seed — no
 // matter how many workers, restarts or replicas the shards were spread
 // over.

@@ -9,7 +9,6 @@ import (
 // nil, so an uninstrumented runner pays nothing.
 type runnerMetrics struct {
 	running      *telemetry.Gauge     // jobs with a live coordinator goroutine
-	queueDepth   *telemetry.Gauge     // shard tasks dispatched but not yet started
 	shards       *telemetry.Counter   // shards checkpointed durably
 	resumed      *telemetry.Counter   // jobs resumed by ResumeAll
 	shardSeconds *telemetry.Histogram // wall time per shard task
@@ -26,8 +25,6 @@ func (r *Runner) Instrument(reg *telemetry.Registry) {
 	r.metrics = runnerMetrics{
 		running: reg.Gauge("dftsp_jobs_running",
 			"Estimation jobs with a live coordinator in this process."),
-		queueDepth: reg.Gauge("dftsp_jobs_queue_depth",
-			"Shard tasks dispatched to the worker pool and not yet started."),
 		shards: reg.Counter("dftsp_jobs_shards_total",
 			"Shard checkpoints appended durably to job logs."),
 		resumed: reg.Counter("dftsp_jobs_resumed_total",
@@ -36,7 +33,12 @@ func (r *Runner) Instrument(reg *telemetry.Registry) {
 			"Wall time of shard tasks, from dequeue to completion.",
 			telemetry.LatencyBuckets),
 	}
-	if r.remote != nil {
-		r.remote.Instrument(reg)
+	// The queue depth reads the coordinator's pending tasks directly, so
+	// it counts shards waiting for the local pool and for remote workers.
+	reg.GaugeFunc("dftsp_jobs_queue_depth",
+		"Shard tasks dispatched to the worker pool and not yet started.",
+		func() float64 { return float64(r.coord.Pending()) })
+	if r.remoteLn != nil {
+		r.coord.Instrument(reg)
 	}
 }

@@ -3,7 +3,9 @@ package jobs
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -99,5 +101,54 @@ func TestRunnerMetrics(t *testing.T) {
 	}
 	if got := metricValue(t, sb.String(), "dftsp_jobs_resumed_total"); got != "1" {
 		t.Errorf("dftsp_jobs_resumed_total = %s, want 1", got)
+	}
+}
+
+// TestQueueDepthWithWorkersListener pins the queue-depth gauge on the
+// job-fleet deployment: with a workers listener up, zero workers connected
+// and the local pool held busy, the job's shards wait in the shard
+// coordinator and the gauge must show them; once the pool is released and
+// the job finishes, it must read 0 again.
+func TestQueueDepthWithWorkersListener(t *testing.T) {
+	reg := telemetry.New()
+	r, _ := remoteRunner(t, 2)
+	r.Instrument(reg)
+	depth := func() string {
+		t.Helper()
+		var sb strings.Builder
+		if err := reg.Expose(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return metricValue(t, sb.String(), "dftsp_jobs_queue_depth")
+	}
+
+	// Occupy both pool workers so no shard can start.
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	for w := 0; w < 2; w++ {
+		r.tasks <- func() { <-release }
+	}
+
+	st, err := r.Submit(remoteSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for depth() == "0" {
+		if time.Now().After(deadline) {
+			t.Fatal("dftsp_jobs_queue_depth stayed 0 while shards waited for a busy pool")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	unblock()
+	st = waitTerminal(t, r, st.ID)
+	if st.State != StateDone {
+		t.Fatalf("job state %q (err %q)", st.State, st.Error)
+	}
+	if got := depth(); got != "0" {
+		t.Fatalf("dftsp_jobs_queue_depth = %s after the job finished, want 0", got)
 	}
 }

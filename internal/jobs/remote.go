@@ -38,60 +38,65 @@ type RemoteStatus struct {
 	Idle int `json:"idle"`
 }
 
-// StartRemote starts the remote shard-dispatch listener on the runner's
-// remoteAddr (the server's -workers-addr): a shardrpc coordinator that
-// leases shard tasks to registered cmd/worker processes while the local
-// pool keeps racing for the same tasks — zero connected workers therefore
-// executes exactly like a purely local runner. protocol, when non-nil,
-// serves store-encoded protocol bytes to workers that cannot resolve a key
-// from their own catalog. With an empty remoteAddr StartRemote is a no-op.
-// Call it before the first Submit and at most once.
+// StartRemote opens the remote shard-dispatch listener on the runner's
+// remoteAddr (the server's -workers-addr): the runner's shardrpc
+// coordinator then also leases shard tasks to registered cmd/worker
+// processes, which race the local pool for the same tasks — zero connected
+// workers therefore executes exactly like a runner without a listener.
+// protocol, when non-nil, serves store-encoded protocol bytes to workers
+// that cannot resolve a key from their own catalog. With an empty
+// remoteAddr StartRemote is a no-op. Call it before the first Submit and at
+// most once.
 func (r *Runner) StartRemote(protocol func(key string) ([]byte, error)) error {
 	if r.remoteAddr == "" {
 		return nil
 	}
-	if r.remote != nil {
+	if r.remoteLn != nil {
 		return fmt.Errorf("jobs: remote dispatch already started on %s", r.remoteLn.Addr())
 	}
 	ln, err := net.Listen("tcp", r.remoteAddr)
 	if err != nil {
 		return fmt.Errorf("jobs: workers listener: %w", err)
 	}
-	c := shardrpc.NewCoordinator(shardrpc.Config{
-		TTL:         leaseTTL(),
-		Protocol:    protocol,
-		SubmitLocal: r.submitLocalClaim,
-	})
-	r.remote = c
+	r.protocol = protocol
 	r.remoteLn = ln
-	r.remoteSrv = &http.Server{Handler: c.Handler()}
+	r.remoteSrv = &http.Server{Handler: r.coord.Handler()}
 	go r.remoteSrv.Serve(ln)
 	return nil
+}
+
+// serveProtocol backs the coordinator's protocol endpoint with the
+// function passed to StartRemote.
+func (r *Runner) serveProtocol(key string) ([]byte, error) {
+	if r.protocol == nil {
+		return nil, fmt.Errorf("jobs: no protocol source for %q", key)
+	}
+	return r.protocol(key)
 }
 
 // Remote reports the runner's remote dispatch state (global lease count),
 // and whether a workers listener is active.
 func (r *Runner) Remote() (RemoteStatus, bool) {
-	if r.remote == nil {
+	if r.remoteLn == nil {
 		return RemoteStatus{}, false
 	}
-	workers, leases := r.remote.Stats()
+	workers, leases := r.coord.Stats()
 	return RemoteStatus{
 		Addr:    r.remoteLn.Addr().String(),
 		Workers: workers,
 		Leases:  leases,
-		Idle:    r.remote.Idle(),
+		Idle:    r.coord.Idle(),
 	}, true
 }
 
 // annotate attaches the remote dispatch state to a job's status, scoping
 // the lease count to that job.
 func (r *Runner) annotate(st Status) Status {
-	if r.remote == nil {
+	rs, ok := r.Remote()
+	if !ok {
 		return st
 	}
-	rs, _ := r.Remote()
-	rs.Leases = r.remote.JobLeases(st.ID)
+	rs.Leases = r.coord.JobLeases(st.ID)
 	st.Remote = &rs
 	return st
 }
@@ -111,16 +116,15 @@ func (r *Runner) submitLocalClaim(claim func(), settled <-chan struct{}) {
 	}()
 }
 
-// closeRemote shuts the remote layer down after all jobs have settled:
-// the listener stops accepting, the coordinator aborts any stray tasks and
-// expires, and every pending local claim drains. Runs exactly once, from
-// Close.
+// closeRemote shuts the dispatch layer down after all jobs have settled:
+// the listener (if any) stops accepting, the coordinator aborts any stray
+// tasks and expires, and every pending local claim drains. Runs exactly
+// once, from Close.
 func (r *Runner) closeRemote() {
-	if r.remote == nil {
-		return
+	if r.remoteSrv != nil {
+		r.remoteSrv.Close()
 	}
-	r.remoteSrv.Close()
-	r.remote.Close()
+	r.coord.Close()
 }
 
 // leaseTTL resolves the remote lease TTL from LeaseTTLEnv.

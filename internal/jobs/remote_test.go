@@ -157,7 +157,7 @@ func (w *fakeWorker) runTask(task shardrpc.Task) sim.Counts {
 		w.t.Fatal(err)
 	}
 	for b := task.Block0; b < task.Block1; b++ {
-		br.RunBlock(context.Background(), task.Seed, b, task.BlockShots(b))
+		br.RunBlock(context.Background(), task.Seed, b, sim.ShotsInBlock(b, task.Budget))
 	}
 	return br.Counts()
 }

@@ -56,7 +56,7 @@ type PointStatus struct {
 	Fails int64 `json:"fails"`
 
 	// PL, RSE, CILo and CIHi are the estimate and its statistics
-	// recomputed from the pooled counts (sim.Counts.Result); present
+	// recomputed from the pooled counts (sim.Counts.ResultModel); present
 	// whenever Shots > 0.
 	PL   float64 `json:"pl,omitempty"`
 	RSE  float64 `json:"rse,omitempty"`
@@ -133,22 +133,25 @@ var errQuiesced = errors.New("jobs: runner quiescing")
 
 // Runner executes jobs from a store on a shared local worker pool. Every
 // job gets one coordinator goroutine that walks its points and rounds;
-// shard tasks from all running jobs funnel through one task queue that the
+// shard tasks from all running jobs are offered to one shardrpc
+// coordinator, whose local claims funnel through one task queue that the
 // pool's workers drain — a work-stealing dispatcher in which an idle
-// worker always takes the next shard from whichever job produced it.
-// Checkpoint appends happen only on the coordinator, so each job file has
-// exactly one writer.
+// worker always takes the next shard from whichever job produced it. With
+// a workers listener (StartRemote), remote workers lease from the same
+// coordinator. Checkpoint appends happen only on the job's coordinator
+// goroutine, so each job file has exactly one writer.
 type Runner struct {
 	store   *Store
 	resolve Resolver
 	workers int
 
-	// remoteAddr is the listen address for remote worker replicas (the
-	// server's -workers-addr flag); StartRemote turns it into a live
-	// shardrpc coordinator whose remote workers and the local pool race
-	// for the same shard tasks. Empty disables remote dispatch entirely.
+	// coord dispatches every shard task: to the local pool always, and to
+	// remote worker replicas once StartRemote has opened the listener on
+	// remoteAddr (the server's -workers-addr flag). Empty remoteAddr keeps
+	// the listener closed, leaving the local pool as the only claimant.
+	coord      *shardrpc.Coordinator
 	remoteAddr string
-	remote     *shardrpc.Coordinator
+	protocol   func(key string) ([]byte, error)
 	remoteLn   net.Listener
 	remoteSrv  *http.Server
 	claimWG    sync.WaitGroup
@@ -184,8 +187,8 @@ type job struct {
 
 // NewRunner returns a runner executing jobs from store with the given
 // local worker count (<= 0 selects sim.DefaultWorkers()). remoteAddr is
-// the listen address for remote worker replicas — StartRemote activates
-// it; empty disables remote dispatch.
+// the listen address for remote worker replicas — StartRemote opens it;
+// empty keeps every shard on the local pool.
 func NewRunner(store *Store, resolve Resolver, workers int, remoteAddr string) *Runner {
 	if workers <= 0 {
 		workers = sim.DefaultWorkers()
@@ -199,6 +202,11 @@ func NewRunner(store *Store, resolve Resolver, workers int, remoteAddr string) *
 		quiesce:    make(chan struct{}),
 		jobs:       map[string]*job{},
 	}
+	r.coord = shardrpc.NewCoordinator(shardrpc.Config{
+		TTL:         leaseTTL(),
+		Protocol:    r.serveProtocol,
+		SubmitLocal: r.submitLocalClaim,
+	})
 	for w := 0; w < workers; w++ {
 		r.workerWG.Add(1)
 		go func() {
@@ -468,8 +476,11 @@ func (r *Runner) run(ctx context.Context, j *job, lg *Log, st State) {
 	close(j.done)
 }
 
-// execute walks the job's points and rounds until the job completes, the
-// context is cancelled, or the runner quiesces.
+// execute walks the job's points until the job completes, the context is
+// cancelled, or the runner quiesces. Each point runs on sim.RunRounds —
+// the schedule and stop rule of the in-process estimators — with a round
+// that reuses the point's durable shards, offers the missing ones to the
+// shard coordinator, and checkpoints each completion.
 func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error {
 	spec := st.Spec
 	est, err := r.resolve(ctx, spec.ProtocolKey)
@@ -483,7 +494,6 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 	}
 	reqMethod, _ := sim.ParseMethod(spec.Method) // validated with the spec
 	target, budget := spec.Budget()
-	totalBlocks := (budget + sim.BlockShots - 1) / sim.BlockShots
 
 	j.emit(Event{Type: "started", Job: j.id, Shots: totalShots(j.points)})
 
@@ -495,9 +505,6 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 			return err
 		}
 
-		// Resolve the method and warm the estimator's location cache on
-		// the coordinator, before shard tasks share the estimator
-		// read-only across workers.
 		model := spec.Model(rate)
 		method := reqMethod
 		if method == sim.MethodAuto {
@@ -523,16 +530,15 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 		}
 		seed := sim.PointSeed(spec.Seed, i)
 
-		var parts []sim.Counts
-		var pooled sim.Counts
-		for start := 0; start < totalBlocks; start += sim.BlocksPerRound {
+		// done pools every durable shard of the point seen so far, for the
+		// progress reported after each checkpoint.
+		var done sim.Counts
+		sampleRound := func(round, start, end int) (sim.Counts, error) {
 			select {
 			case <-r.quiesce:
-				return errQuiesced
+				return sim.Counts{}, errQuiesced
 			default:
 			}
-			end := min(start+sim.BlocksPerRound, totalBlocks)
-			round := start / sim.BlocksPerRound
 			numShards := (end - start + ShardBlocks - 1) / ShardBlocks
 
 			type shardResult struct {
@@ -541,23 +547,41 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 				err    error
 			}
 			results := make(chan shardResult, numShards)
+			var parts []sim.Counts
 			missing := 0
 			for sh := 0; sh < numShards; sh++ {
 				if c, ok := st.Shards[ShardKey{Point: i, Round: round, Shard: sh}]; ok {
 					parts = append(parts, c) // already durable; never re-run
+					done = sim.PoolCounts(done, c)
 					continue
 				}
 				missing++
-				b0 := start + sh*ShardBlocks
-				b1 := min(b0+ShardBlocks, end)
-				sh := sh
+				// The task carries the resolved engine and method so a
+				// remote worker samples the identical stream.
+				task := shardrpc.Task{
+					ID:          shardrpc.TaskID(j.id, i, round, sh),
+					Job:         j.id,
+					Point:       i,
+					Round:       round,
+					Shard:       sh,
+					ProtocolKey: spec.ProtocolKey,
+					Engine:      est.EngineInUse().String(),
+					Method:      method.String(),
+					Model:       model,
+					Seed:        seed,
+					Block0:      start + sh*ShardBlocks,
+					Block1:      min(start+(sh+1)*ShardBlocks, end),
+					Budget:      budget,
+				}
 				run := func() (sim.Counts, error) {
+					begin := time.Now()
+					defer func() { r.metrics.shardSeconds.Observe(time.Since(begin).Seconds()) }()
 					br, err := est.NewBlockRunnerModel(method, model)
 					if err != nil {
 						return sim.Counts{}, err
 					}
-					for b := b0; b < b1; b++ {
-						br.RunBlock(ctx, seed, b, min(sim.BlockShots, budget-b*sim.BlockShots))
+					for b := task.Block0; b < task.Block1; b++ {
+						br.RunBlock(ctx, seed, b, sim.ShotsInBlock(b, budget))
 					}
 					if err := ctx.Err(); err != nil {
 						// A cancelled runner's counts are partial; they
@@ -566,60 +590,11 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 					}
 					return br.Counts(), nil
 				}
-				deliver := func(counts sim.Counts, err error) {
-					results <- shardResult{shard: sh, counts: counts, err: err}
-				}
-
-				if r.remote != nil {
-					// Remote dispatch: offer the shard to the worker fleet
-					// and the local pool simultaneously; the coordinator
-					// guarantees exactly one delivery, fenced by lease
-					// generation. The task carries the resolved engine and
-					// method so a worker samples the identical stream.
-					desc := shardrpc.Task{
-						ID:          shardrpc.TaskID(j.id, i, round, sh),
-						Job:         j.id,
-						Point:       i,
-						Round:       round,
-						Shard:       sh,
-						ProtocolKey: spec.ProtocolKey,
-						Engine:      est.EngineInUse().String(),
-						Method:      method.String(),
-						Model:       model,
-						Seed:        seed,
-						Block0:      b0,
-						Block1:      b1,
-						Budget:      budget,
-					}
-					timedRun := func() (sim.Counts, error) {
-						start := time.Now()
-						counts, err := run()
-						r.metrics.shardSeconds.Observe(time.Since(start).Seconds())
-						return counts, err
-					}
-					r.remote.Offer(ctx, desc, timedRun, deliver)
-					continue
-				}
-
-				task := func() {
-					counts, err := run()
-					deliver(counts, err)
-				}
-				// The queue-depth gauge covers dispatch to start-of-run; the
-				// wrapped task decrements it and times the shard either way
-				// it executes (pool worker or the inline cancellation path).
-				r.metrics.queueDepth.Add(1)
-				timed := func() {
-					r.metrics.queueDepth.Add(-1)
-					start := time.Now()
-					task()
-					r.metrics.shardSeconds.Observe(time.Since(start).Seconds())
-				}
-				select {
-				case r.tasks <- timed:
-				case <-ctx.Done():
-					timed() // returns immediately with the context error
-				}
+				// The coordinator delivers exactly once — from the local
+				// pool or a remote worker, fenced by lease generation.
+				r.coord.Offer(ctx, task, run, func(counts sim.Counts, err error) {
+					results <- shardResult{shard: task.Shard, counts: counts, err: err}
+				})
 			}
 
 			// Checkpoint every shard that completed, even if a sibling
@@ -643,23 +618,20 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 				r.metrics.shards.Inc()
 				st.Shards[ShardKey{Point: i, Round: round, Shard: res.shard}] = res.counts
 				parts = append(parts, res.counts)
-				ps.Counts = sim.PoolCounts(parts...)
+				done = sim.PoolCounts(done, res.counts)
+				ps.Counts = done
 				st.Points[i] = ps
 				j.setPoint(ps)
 				j.emit(Event{Type: "shard", Job: j.id, Point: i, Round: round, Shard: res.shard, Shots: totalShots(j.snapshotPoints())})
 			}
 			if firstErr != nil {
-				return firstErr
+				return sim.Counts{}, firstErr
 			}
-
-			// The stopping rule, evaluated at the same round boundaries
-			// and from the same pooled integers as the in-process
-			// estimators — the invariant that keeps a sharded job
-			// bit-identical to a single-process run.
-			pooled = sim.PoolCounts(parts...)
-			if target > 0 && pooled.Fails > 0 && sim.RSE(pooled.Fails, pooled.Shots) <= target {
-				break
-			}
+			return sim.PoolCounts(parts...), nil
+		}
+		pooled, err := sim.RunRounds(budget, target, sampleRound)
+		if err != nil {
+			return err
 		}
 
 		ps.Counts = pooled
@@ -795,16 +767,15 @@ func pointStatus(spec Spec, ps PointState) PointStatus {
 	if err != nil || ps.Counts.Shots <= 0 {
 		return out
 	}
-	var res sim.AdaptiveResult
-	if spec.Biased() && method == sim.MethodRare {
-		if len(ps.ClassCounts) != 3 {
-			return out
-		}
-		counts := [3]int{ps.ClassCounts[0], ps.ClassCounts[1], ps.ClassCounts[2]}
-		res, err = ps.Counts.ResultModel(method, spec.Model(ps.Rate), counts)
-	} else {
-		res, err = ps.Counts.Result(method, ps.Rate, ps.Locations)
+	// Uniform points record only the location total, which is all the
+	// uniform finisher reads.
+	counts := [3]int{ps.Locations}
+	if len(ps.ClassCounts) == 3 {
+		counts = [3]int{ps.ClassCounts[0], ps.ClassCounts[1], ps.ClassCounts[2]}
+	} else if spec.Biased() && method == sim.MethodRare {
+		return out
 	}
+	res, err := ps.Counts.ResultModel(method, spec.Model(ps.Rate), counts)
 	if err != nil {
 		return out
 	}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/code"
 	"repro/internal/core"
+	"repro/internal/noise"
 	"repro/internal/sim"
 )
 
@@ -62,7 +63,7 @@ func singleProcessPoint(t *testing.T, spec Spec, point int) sim.AdaptiveResult {
 	}
 	method, _ := sim.ParseMethod(spec.Method)
 	target, budget := spec.Budget()
-	ar, err := est.Adaptive(context.Background(), method, spec.Rates[point], target, budget,
+	ar, err := est.AdaptiveModel(context.Background(), method, noise.Uniform(spec.Rates[point]), target, budget,
 		sim.PointSeed(spec.Seed, point), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -208,14 +209,14 @@ func prepPartial(t *testing.T, store *Store, spec Spec, shards int, bias int64) 
 	_, budget := spec.Budget()
 	seed := sim.PointSeed(spec.Seed, 0)
 	for sh := 0; sh < shards; sh++ {
-		br, err := est.NewBlockRunner(sim.MethodDirect, spec.Rates[0])
+		br, err := est.NewBlockRunnerModel(sim.MethodDirect, noise.Uniform(spec.Rates[0]))
 		if err != nil {
 			t.Fatal(err)
 		}
 		b0 := sh * ShardBlocks
 		b1 := min(b0+ShardBlocks, (budget+sim.BlockShots-1)/sim.BlockShots)
 		for b := b0; b < b1; b++ {
-			br.RunBlock(context.Background(), seed, b, min(sim.BlockShots, budget-b*sim.BlockShots))
+			br.RunBlock(context.Background(), seed, b, sim.ShotsInBlock(b, budget))
 		}
 		c := br.Counts()
 		c.Fails += bias

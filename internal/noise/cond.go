@@ -41,8 +41,8 @@ const noFault = ^uint32(0)
 // continues with its own plain geometric chain in that class's own local
 // location order (per-class Bernoulli sampling is memoryless, so the chains
 // stay exact wherever the divergent trajectory goes). A uniform model never
-// builds these tables: it keeps the legacy single-chain code path and RNG
-// stream bit-identically.
+// builds these tables: it runs the single-chain code path and its RNG
+// stream.
 type condTables struct {
 	rates [3]float64  // per-class fault probabilities
 	cinv  [3]float64  // per-class 1/log(1-p); 0 for a zero-rate class
@@ -184,37 +184,26 @@ type CondSampler struct {
 	menus menuSet
 }
 
-// NewCondSampler returns a conditional sampler at physical rate p for a
-// protocol with n fault locations on its fault-free path, with the RNG
-// stream seeded by seed. It requires 0 < p < 1 and n >= 1 — outside that
-// range the conditional distribution does not exist (p = 0 has no faults to
-// condition on; p = 1 makes conditioning vacuous and the plain SparseSampler
-// exact); callers validate before constructing.
-func NewCondSampler(p float64, n int, seed uint64) *CondSampler {
-	s := &CondSampler{P: p, N: n, rng: SplitMix64{State: seed}, menus: newMenuSet(1)}
-	s.invLog = 1 / math.Log1p(-p)
-	s.CondP = CondProb(n, p)
-	for lane := range s.next {
-		s.next[lane] = noFault
-	}
-	return s
-}
-
 // NewCondSamplerModel returns a conditional sampler for a per-class noise
-// model over a fault-free path with the given location kinds. A model with
-// one shared class rate takes the legacy single-chain path (bit-identical to
-// NewCondSampler at Eta == 1); distinct rates run one geometric chain per
-// class against the precomputed first-fault tables. The model must satisfy
-// 0 < CondP < 1 — every class rate in [0, 1) and at least one faultable
-// location — the per-class twin of NewCondSampler's 0 < p < 1 contract;
-// callers validate before constructing.
+// model over a fault-free path with the given location kinds, with the RNG
+// stream seeded by seed. A model with one shared class rate runs the
+// single-chain path above (the truncated geometric over all N locations);
+// distinct rates run one geometric chain per class against the precomputed
+// first-fault tables. The model must satisfy 0 < CondP < 1 — every class
+// rate in [0, 1) and at least one faultable location: outside that range the
+// conditional distribution does not exist (no faults to condition on, or a
+// vacuous conditioning where the plain SparseSampler is exact); callers
+// validate before constructing.
 func NewCondSamplerModel(m Model, kinds []LocKind, seed uint64) *CondSampler {
+	s := &CondSampler{P: m.P1Q, N: len(kinds), rng: SplitMix64{State: seed}, menus: newMenuSet(m.Eta)}
 	if p, ok := m.UniformRate(); ok {
-		s := NewCondSampler(p, len(kinds), seed)
-		s.menus = newMenuSet(m.Eta)
+		s.invLog = 1 / math.Log1p(-p)
+		s.CondP = CondProbModel(m, CountKinds(kinds))
+		for lane := range s.next {
+			s.next[lane] = noFault
+		}
 		return s
 	}
-	s := &CondSampler{P: m.P1Q, N: len(kinds), rng: SplitMix64{State: seed}, menus: newMenuSet(m.Eta)}
 	s.tab = newCondTables(m, kinds)
 	s.CondP = s.tab.condP
 	for lane := range s.cnext {
@@ -223,32 +212,27 @@ func NewCondSamplerModel(m Model, kinds []LocKind, seed uint64) *CondSampler {
 	return s
 }
 
-// CondProb returns P(#faults >= 1) = 1-(1-p)^n for n independent
-// Bernoulli(p) fault locations, computed via expm1/log1p so it stays
-// accurate when n·p is tiny (at p = 1e-9 the naive form loses every
-// significant digit). Out-of-range rates clamp to the exact limits:
-// 0 for p <= 0, 1 for p >= 1.
-func CondProb(n int, p float64) float64 {
-	if p <= 0 || n <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return 1
-	}
-	return -math.Expm1(float64(n) * math.Log1p(-p))
-}
-
-// CondProbModel generalizes CondProb to per-class rates:
-// P(#faults >= 1) = 1 - prod_c (1-p_c)^(n_c) over the per-class location
-// counts of the fault-free path (CountKinds), accumulated in log space so it
-// stays accurate when every n_c·p_c is tiny. Boundary rates take their exact
-// limits NaN/Inf-free: a class at rate >= 1 with locations forces 1,
-// zero-rate or empty classes contribute nothing, and a path with no
-// faultable locations returns 0. A uniform model reproduces
-// CondProb(n, p) bit-identically.
+// CondProbModel returns P(#faults >= 1) = 1 - prod_c (1-p_c)^(n_c) over the
+// per-class location counts of the fault-free path (CountKinds), computed
+// via expm1/log1p so it stays accurate when every n_c·p_c is tiny (at
+// p = 1e-9 the naive form loses every significant digit). A model with one
+// shared rate p evaluates the single binomial form 1-(1-p)^N over all
+// N = n_1q + n_2q + n_meas locations. Boundary rates take their exact limits
+// NaN/Inf-free: a class at rate >= 1 with locations forces 1, zero-rate or
+// empty classes contribute nothing, and a path with no faultable locations
+// returns 0.
 func CondProbModel(m Model, counts [3]int) float64 {
 	if p, ok := m.UniformRate(); ok {
-		return CondProb(counts[0]+counts[1]+counts[2], p)
+		// One log1p term scaled by N, not the per-class sum below: the two
+		// differ in the last float bits.
+		n := counts[0] + counts[1] + counts[2]
+		if p <= 0 || n <= 0 {
+			return 0
+		}
+		if p >= 1 {
+			return 1
+		}
+		return -math.Expm1(float64(n) * math.Log1p(-p))
 	}
 	rates := [3]float64{m.P1Q, m.P2Q, m.PMeas}
 	sum := 0.0
@@ -432,27 +416,18 @@ type CondInjector struct {
 	menus menuSet
 }
 
-// NewCondInjector returns a scalar conditional injector; the argument
-// contract matches NewCondSampler (0 < p < 1, n >= 1).
-func NewCondInjector(p float64, n int, seed uint64) *CondInjector {
-	c := &CondInjector{P: p, N: n, rng: SplitMix64{State: seed}, menus: newMenuSet(1)}
-	c.invLog = 1 / math.Log1p(-p)
-	c.CondP = CondProb(n, p)
-	c.next = noFault
-	return c
-}
-
 // NewCondInjectorModel returns a scalar conditional injector for a
 // per-class noise model; the argument contract matches NewCondSamplerModel
-// (0 < CondP < 1), and a model with one shared class rate takes the legacy
-// single-chain path bit-identically at Eta == 1.
+// (0 < CondP < 1), and a model with one shared class rate takes the
+// single-chain path.
 func NewCondInjectorModel(m Model, kinds []LocKind, seed uint64) *CondInjector {
+	c := &CondInjector{P: m.P1Q, N: len(kinds), rng: SplitMix64{State: seed}, menus: newMenuSet(m.Eta)}
 	if p, ok := m.UniformRate(); ok {
-		c := NewCondInjector(p, len(kinds), seed)
-		c.menus = newMenuSet(m.Eta)
+		c.invLog = 1 / math.Log1p(-p)
+		c.CondP = CondProbModel(m, CountKinds(kinds))
+		c.next = noFault
 		return c
 	}
-	c := &CondInjector{P: m.P1Q, N: len(kinds), rng: SplitMix64{State: seed}, menus: newMenuSet(m.Eta)}
 	c.tab = newCondTables(m, kinds)
 	c.CondP = c.tab.condP
 	c.cnext = [3]uint32{noFault, noFault, noFault}

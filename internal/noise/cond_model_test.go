@@ -1,10 +1,11 @@
 package noise
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/big"
 	"math/bits"
-	"reflect"
 	"testing"
 )
 
@@ -18,17 +19,23 @@ func testKinds(reps int) []LocKind {
 	return kinds
 }
 
-// TestCondProbModelUniformDelegation pins the bit-identity contract: a model
-// with one shared class rate must return exactly CondProb(n, p) — the same
-// code path, not a numerically-close reimplementation.
+// TestCondProbModelUniformDelegation pins the uniform branch: a model with
+// one shared class rate evaluates the single binomial form 1-(1-p)^N over
+// all N locations. The bit patterns were recorded from the scalar
+// CondProb(N, p) this branch replaced, so the rare-event conditioning weight
+// of every uniform run keeps its float bits.
 func TestCondProbModelUniformDelegation(t *testing.T) {
-	for _, p := range []float64{0, 1e-9, 1e-3, 0.3, 1} {
-		for _, counts := range [][3]int{{3, 4, 5}, {0, 0, 0}, {100, 0, 0}} {
-			n := counts[0] + counts[1] + counts[2]
-			got := CondProbModel(Uniform(p), counts)
-			want := CondProb(n, p)
-			if got != want {
-				t.Fatalf("p=%g counts=%v: CondProbModel = %g, CondProb = %g (must be bit-equal)", p, counts, got, want)
+	want := map[float64][3]uint64{ // p -> bits at N = 12, 0, 100
+		0:    {0, 0, 0},
+		1e-9: {0x3e49c511d9d983c9, 0, 0x3e7ad7f28471b935},
+		1e-3: {0x3f8870f7d3d86332, 0, 0x3fb85f8ab678104f},
+		0.3:  {0x3fef8e9cb78463a1, 0, 0x3feffffffffffffd},
+		1:    {0x3ff0000000000000, 0, 0x3ff0000000000000},
+	}
+	for p, bits := range want {
+		for i, counts := range [][3]int{{3, 4, 5}, {0, 0, 0}, {100, 0, 0}} {
+			if got := CondProbModel(Uniform(p), counts); math.Float64bits(got) != bits[i] {
+				t.Fatalf("p=%g counts=%v: CondProbModel = %g (%#x), recorded %#x", p, counts, got, math.Float64bits(got), bits[i])
 			}
 		}
 	}
@@ -128,37 +135,40 @@ func condModelStream(s *CondSampler, kinds []LocKind, live uint64) []uint64 {
 	return out
 }
 
+// condStreamDigest walks words 64-shot words of the sampler and digests the
+// per-location fault masks and the per-word fault tallies separately.
+func condStreamDigest(s *CondSampler, kinds []LocKind, words int) (masks, faults uint64) {
+	hm, hf := fnv.New64a(), fnv.New64a()
+	for word := 0; word < words; word++ {
+		for _, m := range condModelStream(s, kinds, ^uint64(0)) {
+			fmt.Fprintf(hm, "%x,", m)
+		}
+		fmt.Fprintf(hf, "%v;", s.Faults)
+	}
+	return hm.Sum64(), hf.Sum64()
+}
+
 // TestCondSamplerModelUniformBitIdentical pins the rare-event batch engine's
-// compatibility contract: a uniform-rate model with eta = 1 must draw the
-// exact legacy NewCondSampler stream, and changing eta alone must keep the
-// fault locations (each fire costs one draw under either menu).
+// uniform stream: a uniform-rate model with eta = 1 must draw exactly the
+// single-chain stream recorded from the scalar-rate NewCondSampler it
+// replaced (CondP bits, fault-site and fault-tally digests), and changing
+// eta alone must keep the fault sites (each fire costs one draw under
+// either menu).
 func TestCondSamplerModelUniformBitIdentical(t *testing.T) {
 	const p, seed = 0.03, uint64(29)
+	const wantCondP, wantMasks, wantFaults = 0x3fee7a7329b3c364, 0xfde8ad40b858b2ee, 0x251ae30dcdd9ea35
 	kinds := testKinds(25)
-	legacy := NewCondSampler(p, len(kinds), seed)
 	model := NewCondSamplerModel(Model{P1Q: p, P2Q: p, PMeas: p, Eta: 1}, kinds, seed)
-	if legacy.CondP != model.CondP {
-		t.Fatalf("CondP differs: legacy %g, model %g", legacy.CondP, model.CondP)
+	if got := math.Float64bits(model.CondP); got != wantCondP {
+		t.Fatalf("CondP bits %#x, recorded %#x", got, uint64(wantCondP))
 	}
-	for word := 0; word < 20; word++ {
-		a := condModelStream(legacy, kinds, ^uint64(0))
-		b := condModelStream(model, kinds, ^uint64(0))
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("word %d: uniform model sampler diverged from the legacy stream", word)
-		}
-		if legacy.Faults != model.Faults {
-			t.Fatalf("word %d: fault tallies diverged", word)
-		}
+	if masks, faults := condStreamDigest(model, kinds, 20); masks != wantMasks || faults != wantFaults {
+		t.Fatalf("uniform model stream digests (%#x, %#x), recorded (%#x, %#x)", masks, faults, uint64(wantMasks), uint64(wantFaults))
 	}
 
 	biased := NewCondSamplerModel(Model{P1Q: p, P2Q: p, PMeas: p, Eta: 8}, kinds, seed)
-	reference := NewCondSampler(p, len(kinds), seed)
-	for word := 0; word < 20; word++ {
-		a := condModelStream(reference, kinds, ^uint64(0))
-		b := condModelStream(biased, kinds, ^uint64(0))
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("word %d: eta moved the conditional fault sites", word)
-		}
+	if masks, _ := condStreamDigest(biased, kinds, 20); masks != wantMasks {
+		t.Fatal("eta moved the conditional fault sites")
 	}
 }
 
@@ -311,26 +321,26 @@ func TestCondModelFaultCountMeans(t *testing.T) {
 }
 
 // TestCondInjectorModelUniformBitIdentical pins the scalar injector's
-// compatibility contract, mirroring the batch sampler's: a uniform model
-// draws the legacy NewCondInjector stream exactly.
+// uniform stream, mirroring the batch sampler's: a uniform model draws
+// exactly the stream recorded from the scalar-rate NewCondInjector it
+// replaced (CondP bits and a digest of every drawn fault and tally).
 func TestCondInjectorModelUniformBitIdentical(t *testing.T) {
 	const p, seed = 0.05, uint64(911)
+	const wantCondP, wantStream = 0x3fef78b4bfe45351, 0xf4f2b4943352879f
 	kinds := testKinds(20)
-	legacy := NewCondInjector(p, len(kinds), seed)
 	model := NewCondInjectorModel(Model{P1Q: p, P2Q: p, PMeas: p, Eta: 1}, kinds, seed)
-	if legacy.CondP != model.CondP {
-		t.Fatalf("CondP differs: legacy %g, model %g", legacy.CondP, model.CondP)
+	if got := math.Float64bits(model.CondP); got != wantCondP {
+		t.Fatalf("CondP bits %#x, recorded %#x", got, uint64(wantCondP))
 	}
+	h := fnv.New64a()
 	for shot := 0; shot < 200; shot++ {
-		legacy.Reset()
 		model.Reset()
-		for i, k := range kinds {
-			if a, b := legacy.Next(k), model.Next(k); a != b {
-				t.Fatalf("shot %d location %d: legacy %+v, model %+v", shot, i, a, b)
-			}
+		for _, k := range kinds {
+			fmt.Fprintf(h, "%v,", model.Next(k))
 		}
-		if legacy.Faults != model.Faults {
-			t.Fatalf("shot %d: fault tallies differ", shot)
-		}
+		fmt.Fprintf(h, "%d;", model.Faults)
+	}
+	if got := h.Sum64(); got != wantStream {
+		t.Fatalf("uniform model stream digest %#x, recorded %#x", got, uint64(wantStream))
 	}
 }

@@ -263,9 +263,10 @@ func (c *Coordinator) localClaim(t *task) func() {
 			return
 		}
 		c.grantLocked(t, LocalHolder, LocalHolder)
+		run := t.localRun
 		c.mu.Unlock()
 
-		counts, err := t.localRun()
+		counts, err := run()
 
 		c.mu.Lock()
 		if t.state != taskLeased || t.holder != LocalHolder {
@@ -303,6 +304,7 @@ func (c *Coordinator) grantLocked(t *task, holder, holderName string) {
 // Caller holds c.mu and then invokes deliver outside the lock.
 func (c *Coordinator) settleLocked(t *task, holder string, gen uint64) {
 	t.state = taskDone
+	t.localRun = nil // the settled task stays as a tombstone; free the closure
 	t.doneHolder = holder
 	t.doneGen = gen
 	t.settledAt = c.now()
@@ -568,6 +570,14 @@ func (c *Coordinator) Stats() (workers, leases int) {
 		}
 	}
 	return len(c.workers), leases
+}
+
+// Pending reports the number of offered tasks waiting to be claimed — by
+// the local pool or a remote worker — i.e. dispatched but not yet started.
+func (c *Coordinator) Pending() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
 }
 
 // Idle reports the number of lease long-polls currently parked for a

@@ -75,19 +75,13 @@ type Task struct {
 	Budget int `json:"budget"`
 }
 
-// BlockShots returns the shot count of block b under the task's budget:
-// full sim.BlockShots blocks except for a truncated final block.
-func (t Task) BlockShots(b int) int {
-	return min(sim.BlockShots, t.Budget-b*sim.BlockShots)
-}
-
 // ExpectedShots returns the exact shot total a faithful execution of the
 // task must report. The coordinator rejects completions that disagree
 // (garbage guard) and re-leases the shard.
 func (t Task) ExpectedShots() int64 {
 	var total int64
 	for b := t.Block0; b < t.Block1; b++ {
-		total += int64(t.BlockShots(b))
+		total += int64(sim.ShotsInBlock(b, t.Budget))
 	}
 	return total
 }

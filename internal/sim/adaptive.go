@@ -11,27 +11,48 @@ import (
 	"repro/internal/noise"
 )
 
-// adaptiveChunk is the number of shots in one sampling block, the unit of
-// deterministic work distribution: each block owns an RNG stream derived
-// from its block index (not from the worker that happens to run it), so the
-// pooled (shots, fails) counts are independent of the worker count. It is a
-// multiple of 64 so batch-engine blocks run whole lane words except in the
-// (clamped) final block of a budget.
-const adaptiveChunk = 4096
-
-// adaptiveBlocksPerRound is the number of blocks between stopping-rule
-// checks. It is a fixed constant — deliberately not scaled by the worker
-// count, which would make the stopping decision (and therefore the reported
-// shot totals) depend on the machine: large enough that per-round
-// synchronization is invisible in the throughput, small enough that an easy
-// target stops within ~10^5 shots.
-const adaptiveBlocksPerRound = 32
-
 // blockSeed derives the RNG seed of sampling block b from the caller's
 // seed via the SplitMix64 sequence; successive block indices get
 // well-separated streams.
 func blockSeed(seed int64, b int) uint64 {
 	return noise.SplitMix64{State: uint64(seed)}.Seq(uint64(b))
+}
+
+// ShotsInBlock returns the shot count of block b of a point whose budget is
+// budget shots: BlockShots for every block but the last, which is clamped
+// to the remainder so a point never samples more than its budget.
+func ShotsInBlock(b, budget int) int {
+	return min(BlockShots, budget-b*BlockShots)
+}
+
+// RunRounds owns the schedule of one estimation point. It cuts the budget
+// into BlockShots-shot blocks, groups them into rounds of BlocksPerRound
+// blocks, and calls round(k, b0, b1) for round k, which must sample blocks
+// [b0, b1) and return their counts. The rounds' counts are pooled with
+// PoolCounts, and the schedule stops after the first round whose pooled
+// relative standard error is at most targetRSE (once failures exist), or
+// after the last block. targetRSE == 0 runs every block. A round error
+// stops the schedule and is returned with the counts pooled before it.
+//
+// Every estimator of the repository — the in-process adaptive estimators
+// and the job coordinator — runs its points through this one function, so
+// any two executions that return the same counts for the same blocks stop
+// at the same round with the same pooled counts, however the blocks were
+// spread over workers, processes or machines.
+func RunRounds(budget int, targetRSE float64, round func(k, b0, b1 int) (Counts, error)) (Counts, error) {
+	blocks := (budget + BlockShots - 1) / BlockShots
+	var pooled Counts
+	for k, b0 := 0, 0; b0 < blocks; k, b0 = k+1, b0+BlocksPerRound {
+		c, err := round(k, b0, min(b0+BlocksPerRound, blocks))
+		if err != nil {
+			return pooled, err
+		}
+		pooled = PoolCounts(pooled, c)
+		if targetRSE > 0 && pooled.Fails > 0 && RSE(pooled.Fails, pooled.Shots) <= targetRSE {
+			break
+		}
+	}
+	return pooled, nil
 }
 
 // AdaptiveResult reports an adaptive (or fixed-budget) Monte-Carlo estimate
@@ -82,134 +103,105 @@ type AdaptiveResult struct {
 	WeightVariance float64
 }
 
-// runAdaptive drives the deterministic block-scheduled sampling loop shared
-// by the direct and rare-event adaptive estimators. The budget is cut into
-// fixed blocks of adaptiveChunk shots; workers claim block indices from a
-// shared atomic queue and call runBlock(worker, block, n), which must sample
-// exactly n shots seeded by the block index and return the failure count.
-// Because the stream is keyed by block — not worker — and the stopping rule
-// is evaluated at fixed round boundaries, the pooled (shots, fails)
-// sequence is a pure function of (seed, targetRSE, maxShots, engine):
-// the worker count changes wall-clock time only.
-func runAdaptive(ctx context.Context, targetRSE float64, maxShots, workers int, runBlock func(worker, block, n int) int) (shots, fails int, err error) {
-	totalBlocks := (maxShots + adaptiveChunk - 1) / adaptiveChunk
-	if workers > totalBlocks {
-		workers = totalBlocks
-	}
-	results := make([]int, workers)
-	for start := 0; start < totalBlocks; {
-		end := start + adaptiveBlocksPerRound
-		if end > totalBlocks {
-			end = totalBlocks
-		}
-		next := int64(start)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				count := 0
-				for ctx.Err() == nil {
-					b := int(atomic.AddInt64(&next, 1)) - 1
-					if b >= end {
-						break
-					}
-					n := adaptiveChunk
-					if rem := maxShots - b*adaptiveChunk; n > rem {
-						n = rem
-					}
-					count += runBlock(w, b, n)
-				}
-				results[w] = count
-			}(w)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return 0, 0, err
-		}
-		for w, c := range results {
-			fails += c
-			results[w] = 0
-		}
-		endShot := end * adaptiveChunk
-		if endShot > maxShots {
-			endShot = maxShots
-		}
-		shots = endShot
-		start = end
-		if targetRSE > 0 && fails > 0 {
-			if rse := RSE(int64(fails), int64(shots)); rse <= targetRSE {
-				break
-			}
-		}
-	}
-	return shots, fails, nil
-}
-
-// DirectMCAdaptive estimates the logical error rate at physical rate p by
-// direct Monte-Carlo with an adaptive stopping rule: sampling proceeds in
-// fixed 4096-shot blocks across a bounded worker pool until the relative
-// standard error of the estimate drops to targetRSE or maxShots is reached,
-// whichever comes first. targetRSE == 0 disables the early stop, so exactly
-// maxShots shots run — the fixed-budget DirectMCParallel is this special
-// case.
+// AdaptiveModel estimates the logical error rate under noise model m with
+// an adaptive stopping rule. It resolves the requested method against the
+// crossover policy (MethodAuto, see CrossoverModel) and samples the point
+// on the RunRounds schedule: fixed 4096-shot blocks fanned out over a
+// bounded worker pool, until the relative standard error of the estimate
+// drops to targetRSE or maxShots is reached, whichever comes first.
+// targetRSE == 0 disables the early stop, so exactly maxShots shots run.
 //
-// maxShots must be positive (ErrBadShots) and targetRSE in [0, 1)
-// (ErrBadTarget). workers <= 0 selects DefaultWorkers(). Every block's RNG
-// stream is derived from seed via the SplitMix64 sequence keyed by block
-// index — scalar blocks re-seed a math/rand source, batch blocks a
-// SparseSampler — so the result is a pure function of (seed, maxShots,
-// targetRSE, engine) on every machine: the worker count only changes
-// wall-clock time, never the pooled (shots, fails). The final block is
-// clamped to the remaining budget (batch workers mask the last lane word),
-// so the reported Shots never exceeds maxShots. Cancelling ctx stops every
-// worker promptly and returns ctx.Err().
-func (est *Estimator) DirectMCAdaptive(ctx context.Context, p float64, targetRSE float64, maxShots int, seed int64, workers int) (AdaptiveResult, error) {
-	return est.DirectMCAdaptiveModel(ctx, noise.Uniform(p), targetRSE, maxShots, seed, workers)
+// MethodDirect samples the model directly. MethodRare samples from the
+// exact >= 1-fault conditional distribution (see
+// noise.NewCondSamplerModel) and reweights the conditional failure
+// proportion by the exact conditioning probability CondP; it requires every
+// class rate below 1 and a model that can fire at least one fault on the
+// protocol (ErrBadRate). maxShots must be positive (ErrBadShots) and
+// targetRSE in [0, 1) (ErrBadTarget). workers <= 0 selects
+// DefaultWorkers().
+//
+// Every block's RNG stream is derived from seed via the SplitMix64
+// sequence keyed by block index, so the result is a pure function of
+// (seed, maxShots, targetRSE, engine, model) on every machine: the worker
+// count only changes wall-clock time. The final block is clamped to the
+// remaining budget, so the reported Shots never exceeds maxShots.
+// Cancelling ctx stops every worker promptly and returns ctx.Err().
+func (est *Estimator) AdaptiveModel(ctx context.Context, method Method, m noise.Model, targetRSE float64, maxShots int, seed int64, workers int) (AdaptiveResult, error) {
+	_, res, err := est.adaptive(ctx, method, m, targetRSE, maxShots, seed, workers)
+	return res, err
 }
 
-// DirectMCAdaptiveModel is DirectMCAdaptive over a per-class noise model:
-// the sampling engines draw each location class at its own rate (and, for
-// Eta != 1, from the Z-biased two-qubit menu), while the block scheduling,
-// stopping rule and determinism contract are unchanged. A uniform-rate model
-// with Eta == 1 reproduces DirectMCAdaptive(p, ...) bit-identically.
-func (est *Estimator) DirectMCAdaptiveModel(ctx context.Context, m noise.Model, targetRSE float64, maxShots int, seed int64, workers int) (AdaptiveResult, error) {
+// adaptive is the body of every in-process adaptive estimate: it validates
+// the arguments, builds one BlockRunner per worker, runs the point on
+// RunRounds with a round that fans the round's blocks out over the workers
+// (atomic per-block claims; each runner reused across rounds), and
+// finishes the pooled counts. It returns the pooled counts alongside the
+// finished result, for views that report the strata.
+func (est *Estimator) adaptive(ctx context.Context, method Method, m noise.Model, targetRSE float64, maxShots int, seed int64, workers int) (Counts, AdaptiveResult, error) {
 	if maxShots <= 0 {
-		return AdaptiveResult{}, fmt.Errorf("%w: %d max shots", ErrBadShots, maxShots)
+		return Counts{}, AdaptiveResult{}, fmt.Errorf("%w: %d max shots", ErrBadShots, maxShots)
 	}
 	if targetRSE < 0 || targetRSE >= 1 {
-		return AdaptiveResult{}, fmt.Errorf("%w: %g outside [0,1)", ErrBadTarget, targetRSE)
+		return Counts{}, AdaptiveResult{}, fmt.Errorf("%w: %g outside [0,1)", ErrBadTarget, targetRSE)
+	}
+	method, err := est.resolveMethodModel(method, m)
+	if err != nil {
+		return Counts{}, AdaptiveResult{}, err
 	}
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
+	workers = min(workers, (maxShots+BlockShots-1)/BlockShots)
 
-	// Per-worker block runners persist across blocks; the RNG state is
+	// Per-worker block runners persist across rounds; the RNG state is
 	// re-keyed per block so the runner owner does not matter.
-	ws := make([]*BlockRunner, workers)
-	for w := range ws {
-		r, err := est.NewBlockRunnerModel(MethodDirect, m)
-		if err != nil {
-			return AdaptiveResult{}, err
+	runners := make([]*BlockRunner, workers)
+	for w := range runners {
+		if runners[w], err = est.NewBlockRunnerModel(method, m); err != nil {
+			return Counts{}, AdaptiveResult{}, err
 		}
-		ws[w] = r
 	}
-	runBlock := func(w, b, n int) int { return ws[w].RunBlock(ctx, seed, b, n) }
+	round := func(_, b0, b1 int) (Counts, error) {
+		next := int64(b0)
+		var wg sync.WaitGroup
+		for _, r := range runners {
+			wg.Add(1)
+			go func(r *BlockRunner) {
+				defer wg.Done()
+				for ctx.Err() == nil {
+					b := int(atomic.AddInt64(&next, 1)) - 1
+					if b >= b1 {
+						break
+					}
+					r.RunBlock(ctx, seed, b, ShotsInBlock(b, maxShots))
+				}
+			}(r)
+		}
+		wg.Wait()
+		if err := ctx.Err(); err != nil {
+			return Counts{}, err
+		}
+		parts := make([]Counts, len(runners))
+		for w, r := range runners {
+			parts[w] = r.Counts()
+			r.ResetCounts()
+		}
+		return PoolCounts(parts...), nil
+	}
 
 	start := time.Now()
-	shots, fails, err := runAdaptive(ctx, targetRSE, maxShots, workers, runBlock)
+	pooled, err := RunRounds(maxShots, targetRSE, round)
 	if err != nil {
-		return AdaptiveResult{}, err
+		return Counts{}, AdaptiveResult{}, err
 	}
-
-	res, err := Counts{Shots: int64(shots), Fails: int64(fails)}.Result(MethodDirect, m.P1Q, 0)
+	res, err := pooled.ResultModel(method, m, est.ClassCounts())
 	if err != nil {
-		return AdaptiveResult{}, err
+		return Counts{}, AdaptiveResult{}, err
 	}
 	if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-		res.ShotsPerSec = float64(shots) / elapsed
+		res.ShotsPerSec = float64(pooled.Shots) / elapsed
 	}
-	return res, nil
+	return pooled, res, nil
 }
 
 // Wilson returns the 95% Wilson score confidence interval for a binomial

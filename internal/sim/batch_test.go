@@ -240,7 +240,7 @@ func TestAdaptiveEnginesAgree(t *testing.T) {
 		if err := est.SetEngine(e); err != nil {
 			t.Fatal(err)
 		}
-		res, err := est.DirectMCAdaptive(ctx, pp, 0, shots, 31, 4)
+		res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(pp), 0, shots, 31, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestAdaptiveNeverExceedsMaxShots(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, maxShots := range []int{10_001, 8192, 63, 1} {
-			res, err := est.DirectMCAdaptive(ctx, 0.05, 1e-9, maxShots, 7, 3)
+			res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.05), 1e-9, maxShots, 7, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,20 +282,14 @@ func TestAdaptiveNeverExceedsMaxShots(t *testing.T) {
 	}
 }
 
-// TestBatchDirectMCDeterministic pins reproducibility: DirectMC on the
-// batch engine is a pure function of the caller's RNG seed.
+// TestBatchDirectMCDeterministic pins reproducibility: a direct estimate on
+// the batch engine is a pure function of the caller's RNG seed.
 func TestBatchDirectMCDeterministic(t *testing.T) {
 	est, _ := buildBatch(t, code.Steane())
-	a, err := est.DirectMC(0.03, 10_000, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := est.DirectMC(0.03, 10_000, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := directMC(t, est, 0.03, 10_000, rand.New(rand.NewSource(3)))
+	b := directMC(t, est, 0.03, 10_000, rand.New(rand.NewSource(3)))
 	if a != b {
-		t.Fatalf("batch DirectMC not deterministic: %g vs %g", a, b)
+		t.Fatalf("batch direct estimate not deterministic: %g vs %g", a, b)
 	}
 }
 

@@ -11,22 +11,29 @@ import (
 	"repro/internal/noise"
 )
 
-// Block geometry of the deterministic adaptive scheduler, exported so the
-// distributed job layer (internal/jobs) shards work on exactly the same
-// grid the in-process estimators sample on: a point's budget is cut into
-// BlockShots-shot blocks whose RNG streams are keyed by block index, and
-// the stopping rule is evaluated every BlocksPerRound blocks. Any scheduler
-// that runs the same blocks with the same seed and pools the counts — no
-// matter how many workers, processes or machines it spreads them over —
-// reproduces the single-process (shots, fails) sequence bit-identically.
+// Block geometry of the deterministic round scheduler (RunRounds), exported
+// so the distributed job layer (internal/jobs) shards work on exactly the
+// same grid the in-process estimators sample on: a point's budget is cut
+// into BlockShots-shot blocks whose RNG streams are keyed by block index,
+// and the stopping rule is evaluated every BlocksPerRound blocks. Any
+// execution that runs the same blocks with the same seed and pools the
+// counts — no matter how many workers, processes or machines it spreads
+// them over — reproduces the single-process (shots, fails) sequence
+// bit-identically.
 const (
-	// BlockShots is the number of shots in one sampling block (a multiple
-	// of 64, so batch blocks run whole lane words except in the clamped
-	// final block of a budget).
-	BlockShots = adaptiveChunk
+	// BlockShots is the number of shots in one sampling block, the unit of
+	// deterministic work distribution. It is a multiple of 64, so batch
+	// blocks run whole lane words except in the clamped final block of a
+	// budget.
+	BlockShots = 4096
 
 	// BlocksPerRound is the number of blocks between stopping-rule checks.
-	BlocksPerRound = adaptiveBlocksPerRound
+	// It is a fixed constant — deliberately not scaled by the worker count,
+	// which would make the stopping decision (and therefore the reported
+	// shot totals) depend on the machine: large enough that per-round
+	// synchronization is invisible in the throughput, small enough that an
+	// easy target stops within ~10^5 shots.
+	BlocksPerRound = 32
 )
 
 // PointSeed derives the sampling seed of curve point i from a run seed, the
@@ -110,117 +117,56 @@ func PoolCounts(parts ...Counts) Counts {
 	return out
 }
 
-// Result finishes a pooled count into the derived statistics of an adaptive
-// run: the rate estimate, RSE and 95% Wilson confidence interval, plus — for
-// MethodRare — the conditioning weight CondP, the Kish effective sample size
-// and the weight variance under the fault-count post-stratification weights
-// of CondWeights. It computes exactly what DirectMCAdaptive and
-// RareEventAdaptive compute from their own in-process counts (they share
-// this code), so a coordinator pooling checkpointed shard counts reproduces
+// ResultModel finishes a pooled count into the derived statistics of an
+// adaptive run under noise model m: the rate estimate, RSE and 95% Wilson
+// confidence interval, plus — for MethodRare — the conditioning weight
+// CondP (noise.CondProbModel), the Kish effective sample size and the
+// weight variance under the fault-count post-stratification weights of
+// CondWeightsModel. It is the finisher of the in-process adaptive
+// estimators, so a coordinator pooling checkpointed shard counts reproduces
 // the single-process result bit-identically — except ShotsPerSec, which is
 // wall-clock and stays 0 here.
 //
 // method must be resolved (MethodDirect or MethodRare, not MethodAuto).
-// locations is the protocol's fault-location count, used only by MethodRare,
-// which also requires p strictly inside (0, 1) (ErrBadRate). Counts with no
-// shots wrap ErrBadShots.
-func (c Counts) Result(method Method, p float64, locations int) (AdaptiveResult, error) {
+// counts holds the protocol's fault locations by class
+// (Estimator.ClassCounts); under a uniform model only their total matters.
+// Both are used only by MethodRare, which also requires every class rate
+// below 1, fault locations, and a positive conditioning weight
+// (ErrBadRate). Counts with no shots wrap ErrBadShots.
+func (c Counts) ResultModel(method Method, m noise.Model, counts [3]int) (AdaptiveResult, error) {
 	if c.Shots <= 0 {
 		return AdaptiveResult{}, fmt.Errorf("%w: cannot finish a pool of %d shots", ErrBadShots, c.Shots)
 	}
-	switch method {
-	case MethodDirect:
-		res := AdaptiveResult{
-			PL:               float64(c.Fails) / float64(c.Shots),
-			Shots:            int(c.Shots),
-			Fails:            int(c.Fails),
-			Method:           MethodDirect,
-			CondP:            1,
-			EffectiveSamples: float64(c.Shots),
-		}
-		res.RSE = RSE(c.Fails, c.Shots)
-		res.CILo, res.CIHi = Wilson(int(c.Fails), int(c.Shots))
-		return res, nil
-
-	case MethodRare:
-		if p <= 0 || p >= 1 {
-			return AdaptiveResult{}, fmt.Errorf("%w: p = %g", ErrBadRate, p)
-		}
-		if locations <= 0 {
-			return AdaptiveResult{}, fmt.Errorf("%w: %d fault locations", ErrBadRate, locations)
-		}
-		condP := noise.CondProb(locations, p)
-		q := float64(c.Fails) / float64(c.Shots)
-		res := AdaptiveResult{
-			PL:     condP * q,
-			Shots:  int(c.Shots),
-			Fails:  int(c.Fails),
-			Method: MethodRare,
-			CondP:  condP,
-		}
-		res.RSE = RSE(c.Fails, c.Shots)
-		lo, hi := Wilson(int(c.Fails), int(c.Shots))
-		res.CILo, res.CIHi = condP*lo, condP*hi
-
-		weights := CondWeights(locations, rareMaxW, p)
-		var sumW, sumW2 float64
-		for _, s := range c.Strata {
-			if s.Shots <= 0 || s.W < 0 || s.W > rareMaxW {
-				continue // W outside [0, rareMaxW] carries no binomial mass
-			}
-			sumW += weights[s.W]
-			sumW2 += weights[s.W] * weights[s.W] / float64(s.Shots)
-		}
-		res.EffectiveSamples = float64(c.Shots)
-		if sumW2 > 0 {
-			res.EffectiveSamples = sumW * sumW / sumW2
-		}
-		if res.EffectiveSamples > 0 {
-			res.WeightVariance = math.Max(0, float64(c.Shots)/res.EffectiveSamples-1)
-		}
-		return res, nil
+	res := AdaptiveResult{
+		PL:     float64(c.Fails) / float64(c.Shots),
+		Shots:  int(c.Shots),
+		Fails:  int(c.Fails),
+		Method: method,
+		RSE:    RSE(c.Fails, c.Shots),
+		CondP:  1,
 	}
-	return AdaptiveResult{}, fmt.Errorf("sim: Counts.Result needs a resolved method (direct or rare), got %q", method)
-}
-
-// ResultModel is Result over a per-class noise model: counts holds the
-// protocol's fault locations by class (Estimator.ClassCounts), the
-// conditioning weight becomes noise.CondProbModel and the
-// post-stratification weights CondWeightsModel. A uniform-rate model (and
-// any MethodDirect pool, whose statistics do not depend on the model)
-// delegates to Result bit-identically.
-func (c Counts) ResultModel(method Method, m noise.Model, counts [3]int) (AdaptiveResult, error) {
-	total := counts[0] + counts[1] + counts[2]
-	if p, ok := m.UniformRate(); ok {
-		return c.Result(method, p, total)
+	res.CILo, res.CIHi = Wilson(int(c.Fails), int(c.Shots))
+	if method == MethodDirect {
+		res.EffectiveSamples = float64(c.Shots)
+		return res, nil
 	}
 	if method != MethodRare {
-		return c.Result(method, m.P1Q, total)
+		return AdaptiveResult{}, fmt.Errorf("sim: Counts.ResultModel needs a resolved method (direct or rare), got %q", method)
 	}
-	if c.Shots <= 0 {
-		return AdaptiveResult{}, fmt.Errorf("%w: cannot finish a pool of %d shots", ErrBadShots, c.Shots)
-	}
+
 	if m.MaxRate() >= 1 {
 		return AdaptiveResult{}, fmt.Errorf("%w: max class rate = %g", ErrBadRate, m.MaxRate())
 	}
-	if total <= 0 {
+	if total := counts[0] + counts[1] + counts[2]; total <= 0 {
 		return AdaptiveResult{}, fmt.Errorf("%w: %d fault locations", ErrBadRate, total)
 	}
 	condP := noise.CondProbModel(m, counts)
 	if condP <= 0 {
 		return AdaptiveResult{}, fmt.Errorf("%w: model fires no faults on this protocol", ErrBadRate)
 	}
-	q := float64(c.Fails) / float64(c.Shots)
-	res := AdaptiveResult{
-		PL:     condP * q,
-		Shots:  int(c.Shots),
-		Fails:  int(c.Fails),
-		Method: MethodRare,
-		CondP:  condP,
-	}
-	res.RSE = RSE(c.Fails, c.Shots)
-	lo, hi := Wilson(int(c.Fails), int(c.Shots))
-	res.CILo, res.CIHi = condP*lo, condP*hi
+	res.CondP = condP
+	res.PL *= condP
+	res.CILo, res.CIHi = condP*res.CILo, condP*res.CIHi
 
 	weights := CondWeightsModel(counts, rareMaxW, m)
 	var sumW, sumW2 float64
@@ -245,13 +191,13 @@ func (c Counts) ResultModel(method Method, m noise.Model, counts [3]int) (Adapti
 // estimator's workers and the block runner.
 type stratum struct{ shots, fails int }
 
-// BlockRunner samples deterministic blocks of the adaptive scheduler's grid
-// for one (method, physical rate) pair: block b of a run seeded s always
-// draws from the RNG stream keyed by (s, b), so any assignment of blocks to
-// runners — across goroutines, processes or machines — accumulates the same
-// per-block (shots, fails, strata) counts. It is the primitive under
-// DirectMCAdaptive and RareEventAdaptive and the unit of work of the
-// distributed job layer's shards.
+// BlockRunner samples deterministic blocks of the RunRounds grid for one
+// (method, noise model) pair: block b of a run seeded s always draws from
+// the RNG stream keyed by (s, b), so any assignment of blocks to runners —
+// across goroutines, processes or machines — accumulates the same
+// per-block (shots, fails, strata) counts. It is the primitive under the
+// in-process adaptive estimators and the unit of work of the distributed
+// job layer's shards.
 //
 // A BlockRunner is not safe for concurrent use; create one per worker. The
 // accumulated Counts of a runner whose RunBlock was cut short by context
@@ -259,8 +205,6 @@ type stratum struct{ shots, fails int }
 type BlockRunner struct {
 	est    *Estimator
 	method Method // resolved: direct or rare
-	p      float64
-	n      int // fault locations; rare only
 	batch  bool
 
 	// Engine state; exactly one engine/method combination is populated.
@@ -276,33 +220,21 @@ type BlockRunner struct {
 	strata [rareMaxW + 1]stratum
 }
 
-// NewBlockRunner builds a block sampler for physical rate p. method may be
-// MethodAuto, which resolves through the crossover policy; an explicit
-// MethodRare requires p strictly inside (0, 1) (ErrBadRate) and a protocol
-// with fault locations. The runner samples on the estimator's selected
-// engine (SetEngine), which is part of the deterministic identity of the
-// stream: batch and scalar engines draw different RNG sequences.
-func (est *Estimator) NewBlockRunner(method Method, p float64) (*BlockRunner, error) {
-	return est.NewBlockRunnerModel(method, noise.Uniform(p))
-}
-
-// NewBlockRunnerModel is NewBlockRunner over a per-class noise model; an
-// explicit MethodRare requires every class rate below 1 and a model that can
-// fire at least one fault on the protocol (ErrBadRate). A uniform-rate model
-// with Eta == 1 constructs exactly the legacy engines, so its blocks draw the
-// same RNG streams as NewBlockRunner(method, p) bit-for-bit.
+// NewBlockRunnerModel builds a block sampler for noise model model. method
+// may be MethodAuto, which resolves through the crossover policy
+// (CrossoverModel); an explicit MethodRare requires every class rate below 1
+// and a model that can fire at least one fault on the protocol
+// (ErrBadRate). The runner samples on the estimator's selected engine
+// (SetEngine), which is part of the deterministic identity of the stream:
+// batch and scalar engines draw different RNG sequences.
 func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*BlockRunner, error) {
 	m, err := est.resolveMethodModel(method, model)
 	if err != nil {
 		return nil, err
 	}
-	r := &BlockRunner{est: est, method: m, p: model.P1Q, batch: est.useBatch()}
+	r := &BlockRunner{est: est, method: m, batch: est.useBatch()}
 	if m == MethodRare {
 		kinds := est.LocationKinds()
-		r.n = len(kinds)
-		if r.n <= 0 {
-			return nil, fmt.Errorf("%w: protocol has no fault locations", ErrBadRate)
-		}
 		if r.batch {
 			r.csmp = noise.NewCondSamplerModel(model, kinds, 0)
 			r.bs = est.batch.NewShot()
@@ -325,14 +257,6 @@ func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*Bl
 	}
 	return r, nil
 }
-
-// Method reports the resolved sampling method the runner executes
-// (MethodDirect or MethodRare, never MethodAuto).
-func (r *BlockRunner) Method() Method { return r.method }
-
-// Locations returns the fault-location count backing the rare-event
-// conditioning; 0 for direct runners.
-func (r *BlockRunner) Locations() int { return r.n }
 
 // RunBlock samples exactly n shots of block b of the run seeded seed,
 // folding them into the runner's accumulated counts, and returns the

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/decoder"
@@ -34,6 +34,12 @@ var (
 	ErrBadTarget = errors.New("sim: target RSE out of range")
 )
 
+// xDecoder is the slice of the decoder API Judge needs; both
+// decoder.Lookup and decoder.Dense satisfy it with bit-identical results.
+type xDecoder interface {
+	Decode(e f2.Vec) f2.Vec
+}
+
 // Estimator measures logical error rates of a protocol under the E1_1
 // depolarizing model, following the paper's evaluation: the protocol is
 // followed by one perfect round of lookup-table error correction and a
@@ -42,37 +48,31 @@ var (
 // eigenstate (a logical Z for |0>_L, flipped by residual X errors).
 //
 // NewEstimator also compiles the protocol into a Program; every sampling
-// entry point (DirectMC, DirectMCParallel, DirectMCAdaptive) runs the
+// entry point (AdaptiveModel, RareEventAdaptiveModel, BlockRunner) runs the
 // compiled allocation-free engine when compilation succeeded and falls back
 // to the interpreted executor otherwise. Both paths are bit-identical for a
 // shared RNG stream.
-// xDecoder is the slice of the decoder API Judge needs; both
-// decoder.Lookup and decoder.Dense satisfy it with bit-identical results.
-type xDecoder interface {
-	Decode(e f2.Vec) f2.Vec
-}
-
 type Estimator struct {
-	P        *core.Protocol
-	decX     xDecoder        // corrects X errors via Z checks
-	prog     *Program        // compiled shot engine; nil if compilation failed
-	batch    *Batch          // 64-lane engine over prog; nil if compilation failed
-	engine   Engine          // requested engine; resolved by useBatch
-	locs     int             // cached fault-location count; 0 until Locations runs
-	locKinds []noise.LocKind // cached fault-free-path location kinds
+	P      *core.Protocol
+	decX   xDecoder // corrects X errors via Z checks
+	prog   *Program // compiled shot engine; nil if compilation failed
+	batch  *Batch   // 64-lane engine over prog; nil if compilation failed
+	engine Engine   // requested engine; resolved by useBatch
+
+	kindsOnce sync.Once
+	locKinds  []noise.LocKind // fault-free-path location kinds; set by kindsOnce
 }
 
 // LocationKinds returns the location-kind vector of the protocol's
-// fault-free path in execution order — the per-class view of Locations,
-// needed by the per-class conditional samplers and the fault-order
-// enumerator — counting it on first use and caching it on the estimator.
+// fault-free path in execution order — one entry per fault location, the N
+// of the fault-order and rare-event estimators — counting it on first use
+// and caching it on the estimator. It is safe for concurrent use.
 func (est *Estimator) LocationKinds() []noise.LocKind {
-	if est.locKinds == nil {
+	est.kindsOnce.Do(func() {
 		ctr := &noise.Counter{}
 		Run(est.P, ctr)
 		est.locKinds = ctr.Kinds
-		est.locs = len(ctr.Kinds)
-	}
+	})
 	return est.locKinds
 }
 
@@ -128,58 +128,6 @@ func (est *Estimator) Judge(out Outcome) bool {
 	return false
 }
 
-// DirectMC estimates the logical error rate at physical rate p by direct
-// Monte-Carlo sampling with the given number of shots. shots must be
-// positive; violations return an error wrapping ErrBadShots (the estimate
-// used to silently come out as 0/0 = NaN). On the batch engine the rng only
-// seeds the sampler's SplitMix64 stream; the scalar engines consume it
-// directly.
-func (est *Estimator) DirectMC(p float64, shots int, rng *rand.Rand) (float64, error) {
-	if shots <= 0 {
-		return 0, fmt.Errorf("%w: %d shots", ErrBadShots, shots)
-	}
-	fails := 0
-	if est.useBatch() {
-		smp := noise.NewSparseSampler(p, rng.Uint64())
-		bs := est.batch.NewShot()
-		fails = est.batch.sample(bs, smp, shots)
-	} else if est.prog != nil {
-		inj := &noise.Depolarizing{P: p, Rng: rng}
-		sh := est.prog.NewShot()
-		for s := 0; s < shots; s++ {
-			est.prog.Run(sh, inj)
-			if est.prog.Judge(sh) {
-				fails++
-			}
-		}
-	} else {
-		inj := &noise.Depolarizing{P: p, Rng: rng}
-		for s := 0; s < shots; s++ {
-			if est.Judge(Run(est.P, inj)) {
-				fails++
-			}
-		}
-	}
-	return float64(fails) / float64(shots), nil
-}
-
-// sample runs exactly shots shots in 64-lane words (the final word masked
-// down to the remainder, so the count is exact) and returns the failure
-// count. It is the uncancellable inner loop shared by DirectMC and the
-// adaptive workers.
-func (b *Batch) sample(bs *BatchShot, inj noise.BatchInjector, shots int) int {
-	fails := 0
-	for done := 0; done < shots; done += 64 {
-		live := ^uint64(0)
-		if rem := shots - done; rem < 64 {
-			live = 1<<uint(rem) - 1
-		}
-		b.Run(bs, inj, live)
-		fails += bits.OnesCount64(b.Judge(bs))
-	}
-	return fails
-}
-
 // FaultOrderResult holds the stratified conditional failure probabilities:
 // F[w] is the probability of a logical error given exactly w faulted
 // locations, estimated exactly for w ≤ 1 and by sampling above.
@@ -195,96 +143,35 @@ type FaultOrderResult struct {
 	ClassCounts [3]int
 }
 
-// FaultOrder computes the stratified estimator (the dynamic-subset-sampling
-// substitute described in DESIGN.md): order w = 0 and 1 are enumerated
-// exhaustively — for a fault-tolerant protocol F[1] must be exactly 0, which
-// doubles as the FT certificate — and orders 2..maxW are sampled with the
-// given number of samples per order. Cancelling ctx aborts the enumeration
-// and sampling loops promptly with ctx.Err().
+// FaultOrder is FaultOrderModel under the paper's uniform model: every
+// location weighted equally, every operator uniformly within its location.
+func (est *Estimator) FaultOrder(ctx context.Context, maxW, samples int, rng *rand.Rand) (FaultOrderResult, error) {
+	return est.FaultOrderModel(ctx, maxW, samples, rng, noise.Uniform(1))
+}
+
+// FaultOrderModel computes the stratified estimator (a substitute for
+// dynamic subset sampling): order w = 0 and 1 are enumerated exhaustively —
+// for a fault-tolerant protocol F[1] must be exactly 0, which doubles as the
+// FT certificate — and orders 2..maxW are sampled with the given number of
+// samples per order. Cancelling ctx aborts the enumeration and sampling
+// loops promptly with ctx.Err().
+//
+// The noise model is given as a ratio model: the class rates of ratio are
+// relative weights (their overall scale cancels — pass the model at any
+// physical rate, or the ratio vector itself), and ratio.Eta tilts the
+// two-qubit operator menu. Locations are weighted by their class rate and
+// operators by the menu weights — the conditional fault distribution of the
+// model in the p -> 0 limit, which is the regime the stratified estimator
+// targets (at finite rates the order-conditional location law acquires O(p)
+// corrections the subset sampler ignores, exactly as published
+// subset-sampling estimators do). Recombine with Rate or RateModel.
 //
 // maxW must lie in [0, N] where N is the protocol's fault location count
 // (violations wrap ErrBadOrder; orders above N used to feed binomPMF a
 // negative n-w), and samples must be positive whenever maxW >= 2 requires
 // sampling (violations wrap ErrBadSamples; those strata used to come out
 // as 0/0 = NaN).
-func (est *Estimator) FaultOrder(ctx context.Context, maxW, samples int, rng *rand.Rand) (FaultOrderResult, error) {
-	if maxW < 0 {
-		return FaultOrderResult{}, fmt.Errorf("%w: maxW %d < 0", ErrBadOrder, maxW)
-	}
-	if maxW >= 2 && samples <= 0 {
-		return FaultOrderResult{}, fmt.Errorf("%w: %d samples for sampled orders 2..%d", ErrBadSamples, samples, maxW)
-	}
-	counter := &noise.Counter{}
-	Run(est.P, counter)
-	kinds := counter.Kinds
-	n := len(kinds)
-	if maxW > n {
-		return FaultOrderResult{}, fmt.Errorf("%w: maxW %d exceeds the %d fault locations", ErrBadOrder, maxW, n)
-	}
-	res := FaultOrderResult{N: n, F: make([]float64, maxW+1), ClassCounts: noise.CountKinds(kinds)}
-
-	if maxW >= 1 {
-		// Exhaustive order 1, weighting each location uniformly and each
-		// operator uniformly within its location (the E1_1 conditionals).
-		var sum float64
-		for loc, kind := range kinds {
-			if err := ctx.Err(); err != nil {
-				return FaultOrderResult{}, err
-			}
-			ops := noise.OpsFor(kind)
-			var x float64
-			for _, op := range ops {
-				out := Run(est.P, noise.NewPlan(map[int]noise.Fault{loc: op}))
-				if est.Judge(out) {
-					x++
-				}
-			}
-			sum += x / float64(len(ops))
-		}
-		res.F[1] = sum / float64(n)
-	}
-
-	for w := 2; w <= maxW; w++ {
-		var x float64
-		for s := 0; s < samples; s++ {
-			if s%ctxPollShots == 0 {
-				if err := ctx.Err(); err != nil {
-					return FaultOrderResult{}, err
-				}
-			}
-			faults := map[int]noise.Fault{}
-			for len(faults) < w {
-				loc := rng.Intn(n)
-				if _, dup := faults[loc]; dup {
-					continue
-				}
-				ops := noise.OpsFor(kinds[loc])
-				faults[loc] = ops[rng.Intn(len(ops))]
-			}
-			out := Run(est.P, noise.NewPlan(faults))
-			if est.Judge(out) {
-				x++
-			}
-		}
-		res.F[w] = x / float64(samples)
-	}
-	return res, nil
-}
-
-// FaultOrderModel generalizes FaultOrder to a per-class noise model given as
-// a ratio model: the class rates of ratio are relative weights (their overall
-// scale cancels — pass the model at any physical rate, or the ratio vector
-// itself), and ratio.Eta tilts the two-qubit operator menu. Locations are
-// weighted by their class rate and operators by the menu weights — the
-// conditional fault distribution of the model in the p -> 0 limit, which is
-// the regime the stratified estimator targets (at finite rates the
-// order-conditional location law acquires O(p) corrections the subset sampler
-// ignores, exactly as published subset-sampling estimators do). A uniform
-// ratio delegates to FaultOrder bit-identically. Recombine with RateModel.
 func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rng *rand.Rand, ratio noise.Model) (FaultOrderResult, error) {
-	if ratio.IsUniform() {
-		return est.FaultOrder(ctx, maxW, samples, rng)
-	}
 	if maxW < 0 {
 		return FaultOrderResult{}, fmt.Errorf("%w: maxW %d < 0", ErrBadOrder, maxW)
 	}
@@ -297,6 +184,12 @@ func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rn
 		return FaultOrderResult{}, fmt.Errorf("%w: maxW %d exceeds the %d fault locations", ErrBadOrder, maxW, n)
 	}
 	res := FaultOrderResult{N: n, F: make([]float64, maxW+1), ClassCounts: noise.CountKinds(kinds)}
+
+	// The uniform model keeps its own arithmetic and RNG draws: equal
+	// location weights summed as counts, and an Intn draw for the location
+	// and the operator. The weighted form below draws different RNG outputs
+	// and rounds differently.
+	uniform := ratio.IsUniform()
 
 	// Per-class operator distributions and their cumulative tables, built
 	// once for the whole enumeration.
@@ -315,7 +208,7 @@ func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rn
 
 	if maxW >= 1 {
 		// Exhaustive order 1: locations weighted by their class rate,
-		// operators by the biased menu weights — the model's single-fault
+		// operators by the menu weights — the model's single-fault
 		// conditionals.
 		var sum, totW float64
 		for loc, kind := range kinds {
@@ -325,13 +218,22 @@ func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rn
 			ops := noise.OpsFor(kind)
 			var x float64
 			for oi, op := range ops {
-				out := Run(est.P, noise.NewPlan(map[int]noise.Fault{loc: op}))
-				if est.Judge(out) {
+				if !est.Judge(Run(est.P, noise.NewPlan(map[int]noise.Fault{loc: op}))) {
+					continue
+				}
+				if uniform {
+					x++
+				} else {
 					x += opW[kind][oi]
 				}
 			}
-			sum += classW[kind] * x
-			totW += classW[kind]
+			if uniform {
+				sum += x / float64(len(ops))
+				totW++
+			} else {
+				sum += classW[kind] * x
+				totW += classW[kind]
+			}
 		}
 		res.F[1] = sum / totW
 	}
@@ -359,19 +261,29 @@ func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rn
 			}
 			faults := map[int]noise.Fault{}
 			for len(faults) < w {
-				u := rng.Float64() * classTot
-				kind := 0
-				// Skip past lighter classes and — at exact cum boundaries —
-				// classes that carry no mass at all.
-				for kind < 2 && (u > classCum[kind] || classW[kind]*float64(len(locIdx[kind])) == 0) {
-					kind++
+				var loc int
+				if uniform {
+					loc = rng.Intn(n)
+				} else {
+					u := rng.Float64() * classTot
+					kind := 0
+					// Skip past lighter classes and — at exact cum
+					// boundaries — classes that carry no mass at all.
+					for kind < 2 && (u > classCum[kind] || classW[kind]*float64(len(locIdx[kind])) == 0) {
+						kind++
+					}
+					idx := locIdx[kind]
+					loc = int(idx[rng.Intn(len(idx))])
 				}
-				idx := locIdx[kind]
-				loc := int(idx[rng.Intn(len(idx))])
 				if _, dup := faults[loc]; dup {
 					continue
 				}
-				ops := noise.OpsFor(noise.LocKind(kind))
+				kind := kinds[loc]
+				ops := noise.OpsFor(kind)
+				if uniform {
+					faults[loc] = ops[rng.Intn(len(ops))]
+					continue
+				}
 				uo := rng.Float64()
 				oi := 0
 				for oi < len(ops)-1 && uo > opCum[kind][oi] {

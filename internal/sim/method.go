@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -64,24 +63,11 @@ func (m Method) String() string {
 	}
 }
 
-// Crossover reports the method MethodAuto resolves to at physical rate p:
-// MethodRare when 0 < p < 1 and P(#faults >= 1) = 1-(1-p)^N falls below the
-// crossover threshold, MethodDirect otherwise.
-func (est *Estimator) Crossover(p float64) Method {
-	if p > 0 && p < 1 && noise.CondProb(est.Locations(), p) < rareCrossover {
-		return MethodRare
-	}
-	return MethodDirect
-}
-
-// CrossoverModel generalizes Crossover to per-class noise models: MethodRare
-// when every class rate lies below 1 and 0 < P(#faults >= 1) < the crossover
-// threshold under the model's per-class location counts, MethodDirect
-// otherwise. A uniform-rate model resolves exactly as Crossover does.
+// CrossoverModel reports the method MethodAuto resolves to under noise model
+// m: MethodRare when every class rate lies below 1 and the conditioning
+// probability P(#faults >= 1) over the protocol's fault-free path is
+// positive and below the crossover threshold, MethodDirect otherwise.
 func (est *Estimator) CrossoverModel(m noise.Model) Method {
-	if p, ok := m.UniformRate(); ok {
-		return est.Crossover(p)
-	}
 	if m.MaxRate() < 1 {
 		if cp := noise.CondProbModel(m, est.ClassCounts()); cp > 0 && cp < rareCrossover {
 			return MethodRare
@@ -90,30 +76,12 @@ func (est *Estimator) CrossoverModel(m noise.Model) Method {
 	return MethodDirect
 }
 
-// resolveMethod maps a requested method to the one that will run,
-// validating the rare-event rate requirement.
-func (est *Estimator) resolveMethod(m Method, p float64) (Method, error) {
-	switch m {
-	case MethodRare:
-		if p <= 0 || p >= 1 {
-			return m, fmt.Errorf("%w: p = %g", ErrBadRate, p)
-		}
-		return MethodRare, nil
-	case MethodDirect:
-		return MethodDirect, nil
-	default:
-		return est.Crossover(p), nil
-	}
-}
-
-// resolveMethodModel is resolveMethod over a per-class model: an explicit
-// MethodRare needs every class rate below 1 and a strictly positive
-// conditioning probability under the model (ErrBadRate otherwise), the exact
-// generalization of the uniform 0 < p < 1 requirement.
+// resolveMethodModel maps a requested method to the one that will run under
+// noise model m. An explicit MethodRare needs every class rate below 1 and a
+// strictly positive conditioning probability under the model (ErrBadRate
+// otherwise) — for a uniform rate p, exactly 0 < p < 1 on a protocol with
+// fault locations.
 func (est *Estimator) resolveMethodModel(method Method, m noise.Model) (Method, error) {
-	if p, ok := m.UniformRate(); ok {
-		return est.resolveMethod(method, p)
-	}
 	switch method {
 	case MethodRare:
 		if m.MaxRate() >= 1 {
@@ -128,34 +96,4 @@ func (est *Estimator) resolveMethodModel(method Method, m noise.Model) (Method, 
 	default:
 		return est.CrossoverModel(m), nil
 	}
-}
-
-// Adaptive is the method-dispatching adaptive estimation entry point: it
-// resolves the requested method against the crossover policy (MethodAuto)
-// and runs DirectMCAdaptive or RareEventAdaptive accordingly. The argument
-// contract is the union of the two: ErrBadShots, ErrBadTarget, and — for an
-// explicit MethodRare at a rate outside (0, 1) — ErrBadRate.
-func (est *Estimator) Adaptive(ctx context.Context, method Method, p, targetRSE float64, maxShots int, seed int64, workers int) (AdaptiveResult, error) {
-	return est.AdaptiveModel(ctx, method, noise.Uniform(p), targetRSE, maxShots, seed, workers)
-}
-
-// AdaptiveModel is Adaptive over a per-class noise model, dispatching to
-// DirectMCAdaptiveModel or RareEventAdaptiveModel after resolving the method
-// with resolveMethodModel. Adaptive(p, ...) is exactly
-// AdaptiveModel(noise.Uniform(p), ...): a uniform-rate model with Eta == 1
-// draws the same RNG streams as the legacy scalar-rate estimators and
-// reproduces their results bit-identically.
-func (est *Estimator) AdaptiveModel(ctx context.Context, method Method, m noise.Model, targetRSE float64, maxShots int, seed int64, workers int) (AdaptiveResult, error) {
-	resolved, err := est.resolveMethodModel(method, m)
-	if err != nil {
-		return AdaptiveResult{}, err
-	}
-	if resolved == MethodRare {
-		r, err := est.RareEventAdaptiveModel(ctx, m, targetRSE, maxShots, seed, workers)
-		if err != nil {
-			return AdaptiveResult{}, err
-		}
-		return r.AdaptiveResult, nil
-	}
-	return est.DirectMCAdaptiveModel(ctx, m, targetRSE, maxShots, seed, workers)
 }

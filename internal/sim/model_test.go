@@ -77,22 +77,30 @@ func TestGoldenRatesModelPathFourEngines(t *testing.T) {
 	}
 }
 
-// TestFaultOrderModelUniformDelegates pins the delegation contract: a
-// uniform ratio must produce exactly FaultOrder's result on the same RNG
-// stream — same F vector, same class counts.
+// TestFaultOrderModelUniformDelegates pins the uniform branch of the
+// stratified estimator: a uniform ratio must reproduce, on the same RNG
+// stream, the F vector and class counts recorded from the scalar-rate
+// FaultOrder body this branch replaced (equal location weights summed as
+// counts, Intn draws for the sampled orders).
 func TestFaultOrderModelUniformDelegates(t *testing.T) {
 	est := NewEstimator(buildProto(t, code.Steane()))
 	ctx := context.Background()
+	want := FaultOrderResult{N: 21, ClassCounts: [3]int{8, 12, 1}, F: []float64{0, 0, math.Float64frombits(0x3fc1eb851eb851ec)}}
+	for _, ratio := range []noise.Model{noise.Uniform(1), noise.Uniform(1e-3)} {
+		got, err := est.FaultOrderModel(ctx, 2, 300, rand.New(rand.NewSource(3)), ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ratio %+v: uniform FaultOrderModel moved off the recorded result:\n got %+v\nwant %+v", ratio, got, want)
+		}
+	}
 	legacy, err := est.FaultOrder(ctx, 2, 300, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := est.FaultOrderModel(ctx, 2, 300, rand.New(rand.NewSource(3)), noise.Uniform(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, model) {
-		t.Fatalf("uniform FaultOrderModel diverged:\nlegacy %+v\nmodel  %+v", legacy, model)
+	if !reflect.DeepEqual(legacy, want) {
+		t.Fatalf("FaultOrder moved off the recorded result:\n got %+v\nwant %+v", legacy, want)
 	}
 }
 
@@ -204,15 +212,27 @@ func bigCondWeightModel(counts [3]int, w int, rates [3]float64) float64 {
 	return f
 }
 
-// TestCondWeightsModelUniformDelegates pins the strata-weight delegation:
-// a uniform-rate model must return exactly CondWeights' slice.
+// TestCondWeightsModelUniformDelegates pins the uniform branch of the strata
+// weights: a uniform-rate model must return, bit for bit, the single
+// binomial weights recorded from the scalar-rate CondWeights(51, 10, p) the
+// branch replaced — whatever the split of the 51 locations over classes.
 func TestCondWeightsModelUniformDelegates(t *testing.T) {
-	for _, p := range []float64{1e-6, 1e-3, 0.2} {
-		counts := [3]int{12, 30, 9}
-		got := CondWeightsModel(counts, 10, noise.Uniform(p))
-		want := CondWeights(51, 10, p)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("p=%g: CondWeightsModel %v != CondWeights %v", p, got, want)
+	recorded := map[float64][]uint64{
+		1e-6: {0x0, 0x3fefffcb9254827b, 0x3efa36b9afdf5e1a, 0x3dfc0f4f8d42ee63, 0x3cf61130eb2a2998, 0x3beb303e86717699,
+			0x3adb52411cd8372a, 0x39c705679215d74e, 0x38b09889395bd472, 0x3794c926bc0148e3, 0x3676e29e76047741},
+		1e-3: {0x0, 0x3fef34c5c3a9a4a9, 0x3f98fd6a598c3516, 0x3f3a26202f3baae7, 0x3ed41a3c1b1609f6, 0x3e683625d92da977,
+			0x3df7c889a1a8cb9e, 0x3d839702fdbe1a16, 0x3d0b9c3464588d2c, 0x3c90e6ed3f9ef5bc, 0x3c1230f7f6fb582d},
+		0.2: {0x0, 0x3f2314e2a3cf549b, 0x3f4dd0a21ff3f46d, 0x3f6e6fa5809e5e94, 0x3f86d3bc2076c6fd, 0x3f9ad26372f1f718,
+			0x3fa9b449f8d28c42, 0x3fb4a7bb7116e7a2, 0x3fbc66a1bb7f7e45, 0x3fc0f62ecffa5d2a, 0x3fc1cf4ac0c6e1dd},
+	}
+	for p, bits := range recorded {
+		for _, counts := range [][3]int{{12, 30, 9}, {51, 0, 0}} {
+			got := CondWeightsModel(counts, 10, noise.Uniform(p))
+			for w, b := range bits {
+				if math.Float64bits(got[w]) != b {
+					t.Fatalf("p=%g counts=%v: weight[%d] = %g (%#x), recorded %#x", p, counts, w, got[w], math.Float64bits(got[w]), b)
+				}
+			}
 		}
 	}
 }
@@ -293,23 +313,36 @@ func TestOrderPMFModelBoundaries(t *testing.T) {
 }
 
 // TestResultModelBoundaries covers the pooled-count finishers at the model
-// boundaries: uniform models delegate to Result field-for-field, a direct
+// boundaries: uniform models reproduce the recorded scalar-rate result
+// field-for-field, a direct
 // pool ignores the bias entirely, and a rare pool under a boundary model
 // returns a typed error rather than NaN statistics.
 func TestResultModelBoundaries(t *testing.T) {
 	counts := [3]int{10, 20, 5}
 	pool := Counts{Shots: 4096, Fails: 17, Strata: []StratumCount{{W: 1, Shots: 4000, Fails: 10}, {W: 2, Shots: 96, Fails: 7}}}
 
-	legacy, err := pool.Result(MethodRare, 0.01, 35)
-	if err != nil {
-		t.Fatal(err)
+	// Recorded from the scalar-rate Counts.Result(MethodRare, 0.01, 35) that
+	// the uniform branch replaced.
+	recorded := AdaptiveResult{
+		PL:               math.Float64frombits(0x3f542a61ed300ee2),
+		Shots:            4096,
+		Fails:            17,
+		RSE:              math.Float64frombits(0x3fcefae5d59a9131),
+		CILo:             math.Float64frombits(0x3f49327331eedb61),
+		CIHi:             math.Float64frombits(0x3f601fa74e86bfae),
+		Method:           MethodRare,
+		CondP:            math.Float64frombits(0x3fd2fab684e1efe4),
+		EffectiveSamples: math.Float64frombits(0x40a3405602b015f5),
+		WeightVariance:   math.Float64frombits(0x3fe530f11746579c),
 	}
-	model, err := pool.ResultModel(MethodRare, noise.Uniform(0.01), counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != model {
-		t.Fatalf("uniform ResultModel diverged from Result:\nlegacy %+v\nmodel  %+v", legacy, model)
+	for _, cc := range [][3]int{counts, {35, 0, 0}} {
+		model, err := pool.ResultModel(MethodRare, noise.Uniform(0.01), cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if model != recorded {
+			t.Fatalf("uniform ResultModel over %v moved off the recorded result:\n got %+v\nwant %+v", cc, model, recorded)
+		}
 	}
 
 	direct, err := pool.ResultModel(MethodDirect, noise.Model{P1Q: 0, P2Q: 1, PMeas: 0.5, Eta: 1}, counts)
@@ -341,16 +374,18 @@ func TestResultModelBoundaries(t *testing.T) {
 }
 
 // TestCrossoverModelAndResolve covers the method policy over models: uniform
-// models resolve exactly as the scalar policy, deeply subcritical biased
+// models resolve exactly as the recorded scalar policy, deeply subcritical biased
 // models pick the rare-event estimator, order-one ones direct, and the
 // rare-event contract rejects boundary models with ErrBadRate.
 func TestCrossoverModelAndResolve(t *testing.T) {
 	est := NewEstimator(buildProto(t, code.Steane()))
 	ctx := context.Background()
 
-	for _, p := range []float64{1e-6, 1e-4, 1e-2, 0.2} {
-		if got, want := est.CrossoverModel(noise.Uniform(p)), est.Crossover(p); got != want {
-			t.Fatalf("p=%g: CrossoverModel %v, Crossover %v", p, got, want)
+	// The scalar-rate policy's choices on Steane (21 locations), recorded
+	// before the policy became model-only.
+	for p, want := range map[float64]Method{1e-6: MethodRare, 1e-4: MethodRare, 1e-2: MethodRare, 0.2: MethodDirect} {
+		if got := est.CrossoverModel(noise.Uniform(p)); got != want {
+			t.Fatalf("p=%g: CrossoverModel %v, recorded %v", p, got, want)
 		}
 	}
 	if got := est.CrossoverModel(biasedTestModel(1e-6)); got != MethodRare {
@@ -383,7 +418,7 @@ func TestRareMatchesDirectBiased(t *testing.T) {
 		t.Run(cs.Name, func(t *testing.T) {
 			est := NewEstimator(buildProto(t, cs))
 
-			direct, err := est.DirectMCAdaptiveModel(ctx, m, 0, 512*1024, 11, 0)
+			direct, err := est.AdaptiveModel(ctx, MethodDirect, m, 0, 512*1024, 11, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -427,7 +462,7 @@ func TestBatchMatchesScalarBiased(t *testing.T) {
 			if err := scalar.SetEngine(EngineScalar); err != nil {
 				t.Fatal(err)
 			}
-			sres, err := scalar.DirectMCAdaptiveModel(ctx, m, 0, shots, 31, 0)
+			sres, err := scalar.AdaptiveModel(ctx, MethodDirect, m, 0, shots, 31, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -436,7 +471,7 @@ func TestBatchMatchesScalarBiased(t *testing.T) {
 			if err := batch.SetEngine(EngineBatch); err != nil {
 				t.Fatal(err)
 			}
-			bres, err := batch.DirectMCAdaptiveModel(ctx, m, 0, shots, 37, 0)
+			bres, err := batch.AdaptiveModel(ctx, MethodDirect, m, 0, shots, 37, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

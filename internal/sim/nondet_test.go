@@ -80,10 +80,7 @@ func TestDeterministicMatchesBaselineQuality(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	rng := rand.New(rand.NewSource(10))
-	det, err := est.DirectMC(0.01, 60000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := directMC(t, est, 0.01, 60000, rng)
 	nd := est.NonDeterministicStats(0.01, 30000, 100, rng)
 	if det <= 0 || nd.LogicalRate < 0 {
 		t.Fatalf("degenerate rates: det=%g nd=%g", det, nd.LogicalRate)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"os"
 	"runtime"
 	"strconv"
@@ -11,8 +10,8 @@ import (
 // estimation worker count.
 const WorkersEnv = "DFTSP_WORKERS"
 
-// DefaultWorkers returns the worker count used by DirectMCParallel when the
-// caller passes workers <= 0: the value of the DFTSP_WORKERS environment
+// DefaultWorkers returns the worker count the adaptive estimators use when
+// the caller passes workers <= 0: the value of the DFTSP_WORKERS environment
 // variable when set to a positive integer, otherwise runtime.NumCPU().
 func DefaultWorkers() int {
 	if s := os.Getenv(WorkersEnv); s != "" {
@@ -27,23 +26,3 @@ func DefaultWorkers() int {
 // polls: frequent enough that cancellation lands within milliseconds, rare
 // enough that the poll is invisible in the shot throughput.
 const ctxPollShots = 64
-
-// DirectMCParallel is DirectMC fanned out over a bounded worker pool: shots
-// are split across workers, each with an independent SplitMix64-derived RNG
-// stream. workers <= 0 selects DefaultWorkers(); worker counts above shots
-// are clamped to shots (one shot per worker — small jobs used to be fully
-// serialized by a clamp to 1). shots must be positive (ErrBadShots; the
-// estimate used to come out as NaN). The protocol object is shared
-// read-only; every worker owns its scratch state, so the sampling is
-// race-free and the result depends only on (seed, workers, shots).
-// Cancelling ctx stops every worker promptly and returns ctx.Err().
-//
-// It is the fixed-budget special case of DirectMCAdaptive (targetRSE 0);
-// use the latter to also get shot counts, RSE and confidence intervals.
-func (est *Estimator) DirectMCParallel(ctx context.Context, p float64, shots int, seed int64, workers int) (float64, error) {
-	res, err := est.DirectMCAdaptive(ctx, p, 0, shots, seed, workers)
-	if err != nil {
-		return 0, err
-	}
-	return res.PL, nil
-}

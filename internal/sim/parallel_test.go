@@ -8,17 +8,19 @@ import (
 	"time"
 
 	"repro/internal/code"
+	"repro/internal/noise"
 )
 
-// mcp runs DirectMCParallel under a background context and fails the test on
-// error; the shared shape of the determinism tests below.
+// mcp runs a fixed-budget direct estimate of the uniform model fanned out
+// over workers under a background context and fails the test on error; the
+// shared shape of the determinism tests below.
 func mcp(t *testing.T, est *Estimator, p float64, shots int, seed int64, workers int) float64 {
 	t.Helper()
-	v, err := est.DirectMCParallel(context.Background(), p, shots, seed, workers)
+	res, err := est.AdaptiveModel(context.Background(), MethodDirect, noise.Uniform(p), 0, shots, seed, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v
+	return res.PL
 }
 
 func TestDirectMCParallelAgreesWithSerial(t *testing.T) {
@@ -26,10 +28,7 @@ func TestDirectMCParallelAgreesWithSerial(t *testing.T) {
 	est := NewEstimator(p)
 	const pp, shots = 0.03, 40000
 	par := mcp(t, est, pp, shots, 5, 0)
-	ser, err := est.DirectMC(pp, shots, rand.New(rand.NewSource(6)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ser := directMC(t, est, pp, shots, rand.New(rand.NewSource(6)))
 	if par == 0 || ser == 0 {
 		t.Fatalf("no failures sampled: par=%g ser=%g", par, ser)
 	}
@@ -82,7 +81,7 @@ func TestDirectMCParallelCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := est.DirectMCParallel(ctx, 0.01, 500_000_000, 1, 2)
+	_, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.01), 0, 500_000_000, 1, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

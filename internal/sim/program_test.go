@@ -192,19 +192,34 @@ func TestEstimatorValidation(t *testing.T) {
 	ctx := t.Context()
 	rng := func() *rand.Rand { return rand.New(rand.NewSource(1)) }
 	n := Locations(p)
+	// direct runs a uniform-model direct Monte-Carlo estimate at p = 0.01
+	// on the given number of workers.
+	direct := func(target float64, shots, workers int) error {
+		_, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.01), target, shots, 1, workers)
+		return err
+	}
 
 	cases := []struct {
 		name string
 		run  func() error
 		want error
 	}{
-		{"DirectMC zero shots", func() error { _, err := est.DirectMC(0.01, 0, rng()); return err }, ErrBadShots},
-		{"DirectMC negative shots", func() error { _, err := est.DirectMC(0.01, -5, rng()); return err }, ErrBadShots},
-		{"DirectMCParallel zero shots", func() error { _, err := est.DirectMCParallel(ctx, 0.01, 0, 1, 2); return err }, ErrBadShots},
-		{"DirectMCParallel negative shots", func() error { _, err := est.DirectMCParallel(ctx, 0.01, -1, 1, 2); return err }, ErrBadShots},
-		{"Adaptive zero cap", func() error { _, err := est.DirectMCAdaptive(ctx, 0.01, 0.1, 0, 1, 2); return err }, ErrBadShots},
-		{"Adaptive negative target", func() error { _, err := est.DirectMCAdaptive(ctx, 0.01, -0.5, 100, 1, 2); return err }, ErrBadTarget},
-		{"Adaptive target >= 1", func() error { _, err := est.DirectMCAdaptive(ctx, 0.01, 1, 100, 1, 2); return err }, ErrBadTarget},
+		{"DirectMC zero shots", func() error { return direct(0, 0, 1) }, ErrBadShots},
+		{"DirectMC negative shots", func() error { return direct(0, -5, 1) }, ErrBadShots},
+		{"DirectMCParallel zero shots", func() error { return direct(0, 0, 2) }, ErrBadShots},
+		{"DirectMCParallel negative shots", func() error { return direct(0, -1, 2) }, ErrBadShots},
+		{"Adaptive zero cap", func() error {
+			_, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.01), 0.1, 0, 1, 2)
+			return err
+		}, ErrBadShots},
+		{"Adaptive negative target", func() error {
+			_, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.01), -0.5, 100, 1, 2)
+			return err
+		}, ErrBadTarget},
+		{"Adaptive target >= 1", func() error {
+			_, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.01), 1, 100, 1, 2)
+			return err
+		}, ErrBadTarget},
 		{"FaultOrder zero samples", func() error { _, err := est.FaultOrder(ctx, 2, 0, rng()); return err }, ErrBadSamples},
 		{"FaultOrder negative samples", func() error { _, err := est.FaultOrder(ctx, 3, -10, rng()); return err }, ErrBadSamples},
 		{"FaultOrder negative order", func() error { _, err := est.FaultOrder(ctx, -1, 100, rng()); return err }, ErrBadOrder},
@@ -227,23 +242,24 @@ func TestEstimatorValidation(t *testing.T) {
 	}
 }
 
-// TestDirectMCParallelWorkerClamp pins the clamp fix: more workers than
-// shots now clamps to one shot per worker instead of serializing the whole
-// job onto a single worker.
+// TestDirectMCParallelWorkerClamp pins the worker clamp of the fixed-budget
+// direct estimate: more workers than blocks must give exactly the result of
+// fewer workers.
 func TestDirectMCParallelWorkerClamp(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	ctx := t.Context()
-	clamped, err := est.DirectMCParallel(ctx, 0.1, 3, 11, 64)
+	clamped, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.1), 0, 3, 11, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := est.DirectMCParallel(ctx, 0.1, 3, 11, 3)
+	explicit, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.1), 0, 3, 11, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	clamped.ShotsPerSec, explicit.ShotsPerSec = 0, 0 // wall-clock
 	if clamped != explicit {
-		t.Fatalf("workers=64 shots=3 gave %g, want the workers=3 result %g", clamped, explicit)
+		t.Fatalf("workers=64 shots=3 gave %+v, want the workers=3 result %+v", clamped, explicit)
 	}
 }
 
@@ -255,7 +271,7 @@ func TestDirectMCAdaptive(t *testing.T) {
 	est := NewEstimator(p)
 	ctx := t.Context()
 
-	res, err := est.DirectMCAdaptive(ctx, 0.05, 0.2, 2_000_000, 21, 4)
+	res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.05), 0.2, 2_000_000, 21, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +288,7 @@ func TestDirectMCAdaptive(t *testing.T) {
 		t.Fatalf("throughput not reported: %+v", res)
 	}
 
-	capped, err := est.DirectMCAdaptive(ctx, 0.05, 1e-6, 10_000, 21, 4)
+	capped, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.05), 1e-6, 10_000, 21, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +296,11 @@ func TestDirectMCAdaptive(t *testing.T) {
 		t.Fatalf("impossible target should exhaust the cap: ran %d of 10000", capped.Shots)
 	}
 
-	a, err := est.DirectMCAdaptive(ctx, 0.05, 0.3, 500_000, 5, 3)
+	a, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.05), 0.3, 500_000, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := est.DirectMCAdaptive(ctx, 0.05, 0.3, 500_000, 5, 3)
+	b, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.05), 0.3, 500_000, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

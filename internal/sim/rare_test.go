@@ -31,7 +31,7 @@ func TestRareMatchesDirectOverlap(t *testing.T) {
 		t.Run(cs.Name, func(t *testing.T) {
 			est := NewEstimator(buildProto(t, cs))
 
-			direct, err := est.DirectMCAdaptive(ctx, p, 0, 512*1024, 11, 0)
+			direct, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(p), 0, 512*1024, 11, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,10 +97,10 @@ func TestRareMatchesFaultOrderSingleFault(t *testing.T) {
 	}
 }
 
-// bigCondWeight is the math/big reference for CondWeights: the conditional
-// binomial mass C(n,w) p^w (1-p)^(n-w) / (1-(1-p)^n) evaluated at 200-bit
-// precision, immune to the cancellation that makes the float64 form
-// delicate at extreme rates.
+// bigCondWeight is the math/big reference for the uniform CondWeightsModel:
+// the conditional binomial mass C(n,w) p^w (1-p)^(n-w) / (1-(1-p)^n)
+// evaluated at 200-bit precision, immune to the cancellation that makes the
+// float64 form delicate at extreme rates.
 func bigCondWeight(n, w int, p float64) float64 {
 	const prec = 200
 	bp := new(big.Float).SetPrec(prec).SetFloat64(p)
@@ -129,7 +129,7 @@ func bigCondWeight(n, w int, p float64) float64 {
 func TestCondWeightsSumToOne(t *testing.T) {
 	for _, n := range []int{1, 2, 21, 120} {
 		for _, p := range []float64{1e-9, 1e-4, 0.1, 0.5, 0.99} {
-			weights := CondWeights(n, n, p)
+			weights := CondWeightsModel([3]int{n}, n, noise.Uniform(p))
 			if weights[0] != 0 {
 				t.Errorf("n=%d p=%g: weight[0] = %g, want 0", n, p, weights[0])
 			}
@@ -151,7 +151,7 @@ func TestCondWeightsSumToOne(t *testing.T) {
 func TestCondWeightsBigReference(t *testing.T) {
 	for _, p := range []float64{1e-9, 0.5} {
 		for _, n := range []int{1, 5, 21, 64} {
-			weights := CondWeights(n, n, p)
+			weights := CondWeightsModel([3]int{n}, n, noise.Uniform(p))
 			for w := 1; w <= n; w++ {
 				want := bigCondWeight(n, w, p)
 				if want < 1e-290 {
@@ -177,10 +177,10 @@ func TestCondWeightsBigReference(t *testing.T) {
 // p = 0 and p = 1 and NaN/Inf-free output across the whole closed range,
 // including denormal-adjacent rates.
 func TestCondWeightsBoundaries(t *testing.T) {
-	if w := CondWeights(5, 5, 0); !reflect.DeepEqual(w, make([]float64, 6)) {
+	if w := CondWeightsModel([3]int{5}, 5, noise.Uniform(0)); !reflect.DeepEqual(w, make([]float64, 6)) {
 		t.Errorf("p=0: weights %v, want all zero", w)
 	}
-	w := CondWeights(5, 5, 1)
+	w := CondWeightsModel([3]int{5}, 5, noise.Uniform(1))
 	for i, v := range w {
 		want := 0.0
 		if i == 5 {
@@ -190,25 +190,25 @@ func TestCondWeightsBoundaries(t *testing.T) {
 			t.Errorf("p=1: weight[%d] = %g, want %g", i, v, want)
 		}
 	}
-	if w := CondWeights(5, 3, 1); !reflect.DeepEqual(w, make([]float64, 4)) {
+	if w := CondWeightsModel([3]int{5}, 3, noise.Uniform(1)); !reflect.DeepEqual(w, make([]float64, 4)) {
 		t.Errorf("p=1 maxW<n: weights %v, want all zero", w)
 	}
-	if w := CondWeights(0, 3, 0.5); !reflect.DeepEqual(w, make([]float64, 4)) {
+	if w := CondWeightsModel([3]int{0}, 3, noise.Uniform(0.5)); !reflect.DeepEqual(w, make([]float64, 4)) {
 		t.Errorf("n=0: weights %v, want all zero", w)
 	}
 	for _, p := range []float64{0, 1e-300, 1e-9, 0.5, 1 - 1e-16, 1} {
 		for _, n := range []int{1, 21, 200} {
-			for i, v := range CondWeights(n, 63, p) {
+			for i, v := range CondWeightsModel([3]int{n}, 63, noise.Uniform(p)) {
 				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > 1 {
 					t.Fatalf("n=%d p=%g: weight[%d] = %g out of [0,1]", n, p, i, v)
 				}
 			}
 		}
 	}
-	// CondProb itself must stay clean at the same boundaries.
+	// CondProbModel itself must stay clean at the same boundaries.
 	for _, p := range []float64{0, 1e-300, 0.5, 1} {
-		if v := noise.CondProb(21, p); math.IsNaN(v) || v < 0 || v > 1 {
-			t.Fatalf("CondProb(21, %g) = %g out of [0,1]", p, v)
+		if v := noise.CondProbModel(noise.Uniform(p), [3]int{21}); math.IsNaN(v) || v < 0 || v > 1 {
+			t.Fatalf("CondProbModel(Uniform(%g)) over 21 locations = %g out of [0,1]", p, v)
 		}
 	}
 }
@@ -243,7 +243,7 @@ func TestAdaptiveWorkerDeterminism(t *testing.T) {
 					}
 					got = outcome{res.Shots, res.Fails, res.Strata}
 				} else {
-					res, err := est.DirectMCAdaptive(ctx, p, 0.08, 300_000, seed, workers)
+					res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(p), 0.08, 300_000, seed, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -327,7 +327,7 @@ func TestRareResultConsistency(t *testing.T) {
 	if res.Shots != 100_000 {
 		t.Errorf("shots %d, want exactly the 100000 budget with targetRSE=0", res.Shots)
 	}
-	wantCondP := noise.CondProb(res.N, 5e-3)
+	wantCondP := noise.CondProbModel(noise.Uniform(5e-3), [3]int{res.N})
 	if res.CondP != wantCondP {
 		t.Errorf("CondP %g, want %g", res.CondP, wantCondP)
 	}
@@ -339,7 +339,7 @@ func TestRareResultConsistency(t *testing.T) {
 	}
 
 	shots, fails := 0, 0
-	weights := CondWeights(res.N, rareMaxW, 5e-3)
+	weights := CondWeightsModel([3]int{res.N}, rareMaxW, noise.Uniform(5e-3))
 	for _, s := range res.Strata {
 		if s.W < 1 || s.W > rareMaxW {
 			t.Errorf("stratum W=%d out of range", s.W)
@@ -393,7 +393,7 @@ func TestParseMethod(t *testing.T) {
 // rates where the conditional law does not exist).
 func TestCrossoverPolicy(t *testing.T) {
 	est := NewEstimator(buildProto(t, code.Steane()))
-	n := est.Locations()
+	n := len(est.LocationKinds())
 	// The crossover rate solves 1-(1-p)^n = 0.5.
 	pStar := 1 - math.Pow(0.5, 1/float64(n))
 	for _, c := range []struct {
@@ -407,8 +407,8 @@ func TestCrossoverPolicy(t *testing.T) {
 		{0, MethodDirect},
 		{1, MethodDirect},
 	} {
-		if got := est.Crossover(c.p); got != c.want {
-			t.Errorf("Crossover(%g) = %v, want %v (N=%d)", c.p, got, c.want, n)
+		if got := est.CrossoverModel(noise.Uniform(c.p)); got != c.want {
+			t.Errorf("CrossoverModel(Uniform(%g)) = %v, want %v (N=%d)", c.p, got, c.want, n)
 		}
 	}
 }
@@ -420,7 +420,7 @@ func TestAdaptiveMethodDispatch(t *testing.T) {
 	ctx := context.Background()
 	est := NewEstimator(buildProto(t, code.Steane()))
 
-	rare, err := est.Adaptive(ctx, MethodAuto, 1e-4, 0.3, 2_000_000, 9, 0)
+	rare, err := est.AdaptiveModel(ctx, MethodAuto, noise.Uniform(1e-4), 0.3, 2_000_000, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestAdaptiveMethodDispatch(t *testing.T) {
 		t.Errorf("rare CondP %g outside (0, 0.5)", rare.CondP)
 	}
 
-	direct, err := est.Adaptive(ctx, MethodAuto, 0.05, 0.1, 500_000, 9, 0)
+	direct, err := est.AdaptiveModel(ctx, MethodAuto, noise.Uniform(0.05), 0.1, 500_000, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestRareValidation(t *testing.T) {
 		if _, err := est.RareEventAdaptive(ctx, p, 0.1, 1000, 1, 1); !errors.Is(err, ErrBadRate) {
 			t.Errorf("RareEventAdaptive(p=%g) error %v, want ErrBadRate", p, err)
 		}
-		if _, err := est.Adaptive(ctx, MethodRare, p, 0.1, 1000, 1, 1); !errors.Is(err, ErrBadRate) {
+		if _, err := est.AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0.1, 1000, 1, 1); !errors.Is(err, ErrBadRate) {
 			t.Errorf("Adaptive(rare, p=%g) error %v, want ErrBadRate", p, err)
 		}
 	}
@@ -471,7 +471,7 @@ func TestRareValidation(t *testing.T) {
 		t.Errorf("target 1.0 error %v, want ErrBadTarget", err)
 	}
 	// Auto never routes a degenerate rate to the conditional estimator.
-	if res, err := est.Adaptive(ctx, MethodAuto, 0.9, 0, 64, 1, 1); err != nil || res.Method != MethodDirect {
+	if res, err := est.AdaptiveModel(ctx, MethodAuto, noise.Uniform(0.9), 0, 64, 1, 1); err != nil || res.Method != MethodDirect {
 		t.Errorf("Adaptive(auto, p=0.9) = %+v, %v; want a direct run", res, err)
 	}
 }

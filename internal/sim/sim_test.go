@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -10,6 +11,33 @@ import (
 	"repro/internal/f2"
 	"repro/internal/noise"
 )
+
+// directMC is the fixed-budget direct Monte-Carlo estimate of the uniform
+// model at rate p: shots shots on one worker, seeded from rng.
+func directMC(t *testing.T, est *Estimator, p float64, shots int, rng *rand.Rand) float64 {
+	t.Helper()
+	res, err := est.AdaptiveModel(context.Background(), MethodDirect, noise.Uniform(p), 0, shots, rng.Int63(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.PL
+}
+
+// sample runs exactly shots shots in 64-lane words (the final word masked
+// down to the remainder, so the count is exact) and returns the failure
+// count: the batch engine's bare shot loop, without block seeding.
+func (b *Batch) sample(bs *BatchShot, inj noise.BatchInjector, shots int) int {
+	fails := 0
+	for done := 0; done < shots; done += 64 {
+		live := ^uint64(0)
+		if rem := shots - done; rem < 64 {
+			live = 1<<uint(rem) - 1
+		}
+		b.Run(bs, inj, live)
+		fails += bits.OnesCount64(b.Judge(bs))
+	}
+	return fails
+}
 
 func buildProto(t *testing.T, cs *code.CSS) *core.Protocol {
 	t.Helper()
@@ -125,10 +153,7 @@ func TestDirectMCAgreesWithStratified(t *testing.T) {
 		t.Fatal(err)
 	}
 	const pp = 0.02
-	mc, err := est.DirectMC(pp, 30000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mc := directMC(t, est, pp, 30000, rng)
 	strat := res.Rate(pp)
 	if mc == 0 {
 		t.Fatal("MC sampled no failures at p=0.02")
