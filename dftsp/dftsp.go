@@ -129,7 +129,8 @@ func (p *Protocol) Certify() error {
 }
 
 // FaultLocations returns the number of fault locations on the fault-free
-// path (the N of the stratified estimator).
+// path (the N of the stratified estimator); 0 for a protocol beyond the
+// compiled engine's packing limits.
 func (p *Protocol) FaultLocations() int { return sim.Locations(p.Core) }
 
 // WriteQASM writes the static part of the protocol (preparation plus

@@ -5,10 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 var bg = context.Background()
@@ -393,6 +397,36 @@ func TestEstimateEngineSelection(t *testing.T) {
 	_, err = p.Estimate(bg, EstimateOptions{Rates: []float64{1e-2}, Engine: "warp"})
 	if !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("bogus engine: err = %v, want ErrBadOptions", err)
+	}
+}
+
+// TestEstimateOverLimitProtocolIsBadOptions pins the facade mapping of a
+// protocol beyond the compiled engine's packing limits: a hand-built extra
+// layer of 32 verification measurements makes every engine selection fail
+// fast with ErrBadOptions (the HTTP 400 class), wrapping the simulator's
+// ErrEngineUnavailable.
+func TestEstimateOverLimitProtocolIsBadOptions(t *testing.T) {
+	steane, err := Synthesize(bg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := *steane.Core
+	first := over.Layers[0]
+	over.Layers = append(slices.Clip(over.Layers), &core.Layer{
+		Detects: first.Detects,
+		Verif:   slices.Repeat(first.Verif[:1], 32),
+		Classes: map[string]*core.ClassCorrection{},
+	})
+	p := &Protocol{Core: &over, Options: steane.Options}
+	start := time.Now()
+	for _, engine := range []string{"", "scalar", "batch"} {
+		_, err := p.Estimate(bg, EstimateOptions{Rates: []float64{1e-3}, TargetRSE: 0.1, Engine: engine})
+		if !errors.Is(err, ErrBadOptions) || !errors.Is(err, sim.ErrEngineUnavailable) {
+			t.Errorf("engine %q: err = %v, want ErrBadOptions wrapping sim.ErrEngineUnavailable", engine, err)
+		}
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("refusals took %v, want < 1s", elapsed)
 	}
 }
 

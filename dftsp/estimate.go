@@ -73,11 +73,11 @@ type EstimateOptions struct {
 	Workers int `json:"workers,omitempty"`
 
 	// Engine selects the Monte-Carlo engine: "" or "auto" picks the fastest
-	// available (the 64-lane bit-parallel batch engine when the protocol
-	// compiles, else the scalar compiled engine), "scalar" forces the scalar
-	// path, and "batch" requires the batch engine (rejected with
-	// ErrBadOptions when the protocol exceeds its packing limits). The
-	// DFTSP_ENGINE environment variable changes what "auto" resolves to.
+	// (the 64-lane bit-parallel batch engine), "scalar" forces the scalar
+	// compiled engine and "batch" the batch engine. Both are the one compiled
+	// production engine; a protocol beyond its packing limits is rejected
+	// with ErrBadOptions whatever the selection. The DFTSP_ENGINE
+	// environment variable changes what "auto" resolves to.
 	Engine string `json:"engine,omitempty"`
 
 	// Bias2Q scales the two-qubit (CNOT) fault rate relative to the base
@@ -322,10 +322,12 @@ func (eo EstimateOptions) Validate() error {
 // Estimate measures the protocol's logical error rate under the paper's
 // circuit-level depolarizing model (E1_1), using the stratified fault-order
 // estimator for the curve and, when MCShots > 0 or TargetRSE > 0, direct
-// Monte-Carlo sampling as a cross-check. Sampling runs on the 64-lane
-// bit-parallel batch engine by default (Engine "auto"), falling back to the
-// compiled scalar engine when the protocol exceeds the packing limits; both
-// are allocation-free in steady state. The sampling method follows Method:
+// Monte-Carlo sampling as a cross-check. Every stage runs on the compiled
+// shot engine: sampling on its 64-lane bit-parallel batch form by default
+// (Engine "auto") or its scalar form, both allocation-free in steady state.
+// A protocol beyond the engine's packing limits cannot be estimated and
+// wraps ErrBadOptions (and sim.ErrEngineUnavailable). The sampling method
+// follows Method:
 // "auto" (the default) switches per rate between direct sampling and the
 // rare-event conditional estimator, which resolves logical rates far below
 // 1/MaxShots by conditioning every shot on at least one fault. With
@@ -402,11 +404,12 @@ func (p *Protocol) Estimate(ctx context.Context, eo EstimateOptions) (EstimateRe
 	return res, nil
 }
 
-// estimateError maps the simulator's validation sentinels onto the facade
+// estimateError maps the simulator's validation sentinels, and its refusal
+// of a protocol beyond the engine's packing limits, onto the facade
 // taxonomy (ErrBadOptions); everything else — notably context cancellation —
 // passes through unchanged.
 func estimateError(err error) error {
-	for _, sentinel := range []error{sim.ErrBadShots, sim.ErrBadSamples, sim.ErrBadOrder, sim.ErrBadTarget, sim.ErrBadRate} {
+	for _, sentinel := range []error{sim.ErrBadShots, sim.ErrBadSamples, sim.ErrBadOrder, sim.ErrBadTarget, sim.ErrBadRate, sim.ErrEngineUnavailable} {
 		if errors.Is(err, sentinel) {
 			return badOptions("%w", err)
 		}

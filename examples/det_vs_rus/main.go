@@ -41,7 +41,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rus := est.NonDeterministicStats(*pp, *shots, 200, rng)
+	rus, err := est.NonDeterministicStats(*pp, *shots, 200, rng)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%s at p = %g (%d shots per scheme)\n\n", cs, *pp, *shots)
 	fmt.Printf("%-28s %-14s %-14s\n", "", "deterministic", "repeat-until-success")

@@ -23,7 +23,13 @@ type Lookup struct {
 // representative; for the near-term codes targeted here the tables have at
 // most 2^10 entries.
 func NewLookup(h *f2.Mat) *Lookup {
-	l := &Lookup{h: h.SpanBasis(), n: h.Cols(), table: map[string]f2.Vec{}}
+	return newLookup(h.SpanBasis(), h.Cols())
+}
+
+// newLookup builds the table over an already row-independent check basis
+// of n columns.
+func newLookup(basis *f2.Mat, n int) *Lookup {
+	l := &Lookup{h: basis, n: n, table: map[string]f2.Vec{}}
 	total := 1 << uint(l.h.Rows())
 	// Weight-0 entry.
 	zero := f2.NewVec(l.n)

@@ -2,7 +2,9 @@ package decoder
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/code"
 	"repro/internal/f2"
@@ -138,5 +140,25 @@ func TestDenseIndexWords(t *testing.T) {
 		_ = d.CorrectionWords(d.Index(e.Words()))
 	}); allocs != 0 {
 		t.Fatalf("Index/CorrectionWords allocate %.2f per call, want 0", allocs)
+	}
+}
+
+// TestDenseCheckedRefusesHighRankFast pins the dense-table bound: a check
+// matrix above the rank limit (the d = 9 rotated surface code's Hz has rank
+// 40) must be refused with the rank error before any table is built, well
+// within the deadline — not after enumerating 2^rank syndromes.
+func TestDenseCheckedRefusesHighRankFast(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewDenseChecked(code.RotatedSurface(9).Hz)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "rank 40 exceeds") {
+			t.Fatalf("err = %v, want the rank-40 limit error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("NewDenseChecked still running after 5s on a rank-40 matrix")
 	}
 }

@@ -40,13 +40,15 @@ func NewDense(h *f2.Mat) *Dense {
 }
 
 // NewDenseChecked is NewDense returning an error for check matrices whose
-// rank would make the dense table unreasonably large.
+// rank would make the dense table unreasonably large. The rank is checked
+// before any table is built, so a refused matrix costs one elimination.
 func NewDenseChecked(h *f2.Mat) (*Dense, error) {
-	lk := NewLookup(h)
-	rank := lk.h.Rows()
+	basis := h.SpanBasis()
+	rank := basis.Rows()
 	if rank > maxDenseRank {
 		return nil, fmt.Errorf("decoder: rank %d exceeds dense table limit %d", rank, maxDenseRank)
 	}
+	lk := newLookup(basis, h.Cols())
 	d := &Dense{
 		h:    lk.h,
 		n:    lk.n,

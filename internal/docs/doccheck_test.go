@@ -1,9 +1,11 @@
 // Package docs holds repository-wide documentation enforcement: its test
-// fails the build when an exported identifier of the public facade (dftsp)
-// or of the persistence layers (internal/store, internal/jobs) lacks a doc
-// comment, which is what keeps "every exported identifier is documented"
-// true over time instead of being a one-off cleanup. CI runs it as part of
-// the docs job.
+// fails the build when an exported identifier of the public facade (dftsp),
+// the persistence and serving layers (internal/store, internal/jobs,
+// internal/telemetry, internal/shardrpc) or the simulation layers
+// (internal/sim, internal/decoder, internal/noise) lacks a doc comment,
+// which is what keeps "every exported identifier is documented" true over
+// time instead of being a one-off cleanup. CI runs it as part of the docs
+// job.
 package docs
 
 import (
@@ -24,6 +26,9 @@ var checkedPackages = []string{
 	"../../internal/jobs",
 	"../../internal/telemetry",
 	"../../internal/shardrpc",
+	"../../internal/sim",
+	"../../internal/decoder",
+	"../../internal/noise",
 }
 
 func TestExportedIdentifiersAreDocumented(t *testing.T) {

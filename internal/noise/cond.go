@@ -390,11 +390,11 @@ func (s *CondSampler) DrawMeas(active uint64) (flip uint64) {
 	return
 }
 
-// CondInjector is the scalar twin of CondSampler for the compiled and
-// interpreted engines: one shot per Reset, the same exact >=1-fault
-// conditional law. It backs the rare-event estimator's scalar fallback when
-// a protocol exceeds the batch engine's packing limits, and the
-// scalar-vs-batch conditional cross-check.
+// CondInjector is the scalar twin of CondSampler for the scalar shot
+// engines: one shot per Reset, the same exact >=1-fault conditional law. It
+// backs the rare-event estimator on the scalar compiled engine (the
+// "scalar" engine selection) and the scalar-vs-batch conditional
+// cross-check.
 type CondInjector struct {
 	// P, N and CondP mirror the CondSampler fields.
 	P     float64

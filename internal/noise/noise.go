@@ -129,7 +129,7 @@ type Depolarizing struct {
 	menus menuSet     // per-class menus; zero (nil ops) selects OpsFor
 }
 
-// NewDepolarizing returns the interpreted-engine injector for a noise model:
+// NewDepolarizing returns the scalar-engine injector for a noise model:
 // per-class rates and, when m.Eta != 1, a Z-biased two-qubit operator menu.
 // A uniform model reproduces the literal form &Depolarizing{P: p, Rng: rng}
 // bit-identically on the same RNG stream.

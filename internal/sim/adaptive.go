@@ -118,7 +118,8 @@ type AdaptiveResult struct {
 // class rate below 1 and a model that can fire at least one fault on the
 // protocol (ErrBadRate). maxShots must be positive (ErrBadShots) and
 // targetRSE in [0, 1) (ErrBadTarget). workers <= 0 selects
-// DefaultWorkers().
+// DefaultWorkers(). A protocol that did not compile returns
+// ErrEngineUnavailable.
 //
 // Every block's RNG stream is derived from seed via the SplitMix64
 // sequence keyed by block index, so the result is a pure function of
@@ -138,6 +139,9 @@ func (est *Estimator) AdaptiveModel(ctx context.Context, method Method, m noise.
 // finishes the pooled counts. It returns the pooled counts alongside the
 // finished result, for views that report the strata.
 func (est *Estimator) adaptive(ctx context.Context, method Method, m noise.Model, targetRSE float64, maxShots int, seed int64, workers int) (Counts, AdaptiveResult, error) {
+	if est.err != nil {
+		return Counts{}, AdaptiveResult{}, est.err
+	}
 	if maxShots <= 0 {
 		return Counts{}, AdaptiveResult{}, fmt.Errorf("%w: %d max shots", ErrBadShots, maxShots)
 	}

@@ -282,9 +282,9 @@ func TestAdaptiveNeverExceedsMaxShots(t *testing.T) {
 	}
 }
 
-// TestBatchDirectMCDeterministic pins reproducibility: a direct estimate on
-// the batch engine is a pure function of the caller's RNG seed.
-func TestBatchDirectMCDeterministic(t *testing.T) {
+// TestBatchAdaptiveModelDeterministic pins reproducibility: a direct
+// estimate on the batch engine is a pure function of the caller's RNG seed.
+func TestBatchAdaptiveModelDeterministic(t *testing.T) {
 	est, _ := buildBatch(t, code.Steane())
 	a := directMC(t, est, 0.03, 10_000, rand.New(rand.NewSource(3)))
 	b := directMC(t, est, 0.03, 10_000, rand.New(rand.NewSource(3)))

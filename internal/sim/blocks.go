@@ -226,8 +226,12 @@ type BlockRunner struct {
 // and a model that can fire at least one fault on the protocol
 // (ErrBadRate). The runner samples on the estimator's selected engine
 // (SetEngine), which is part of the deterministic identity of the stream:
-// batch and scalar engines draw different RNG sequences.
+// batch and scalar engines draw different RNG sequences. A protocol that
+// did not compile returns ErrEngineUnavailable.
 func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*BlockRunner, error) {
+	if est.err != nil {
+		return nil, est.err
+	}
 	m, err := est.resolveMethodModel(method, model)
 	if err != nil {
 		return nil, err
@@ -240,9 +244,7 @@ func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*Bl
 			r.bs = est.batch.NewShot()
 		} else {
 			r.cj = noise.NewCondInjectorModel(model, kinds, 0)
-			if est.prog != nil {
-				r.sh = est.prog.NewShot()
-			}
+			r.sh = est.prog.NewShot()
 		}
 		return r, nil
 	}
@@ -251,9 +253,7 @@ func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*Bl
 		r.bs = est.batch.NewShot()
 	} else {
 		r.inj = noise.NewDepolarizing(model, rand.New(rand.NewSource(0)))
-		if est.prog != nil {
-			r.sh = est.prog.NewShot()
-		}
+		r.sh = est.prog.NewShot()
 	}
 	return r, nil
 }
@@ -272,8 +272,7 @@ func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) int {
 
 	est := r.est
 	if r.method == MethodRare {
-		switch {
-		case r.batch:
+		if r.batch {
 			r.csmp.Reseed(blockSeed(seed, b))
 			for i := 0; i < n; i += 64 {
 				if ctx.Err() != nil {
@@ -299,7 +298,7 @@ func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) int {
 					}
 				}
 			}
-		case est.prog != nil:
+		} else {
 			r.cj.Reseed(blockSeed(seed, b))
 			for i := 0; i < n; i++ {
 				if i%ctxPollShots == 0 && ctx.Err() != nil {
@@ -317,30 +316,11 @@ func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) int {
 					count++
 				}
 			}
-		default:
-			r.cj.Reseed(blockSeed(seed, b))
-			for i := 0; i < n; i++ {
-				if i%ctxPollShots == 0 && ctx.Err() != nil {
-					return count
-				}
-				r.cj.Reset()
-				out := Run(est.P, r.cj)
-				k := r.cj.Faults
-				if k > rareMaxW {
-					k = rareMaxW
-				}
-				r.strata[k].shots++
-				if est.Judge(out) {
-					r.strata[k].fails++
-					count++
-				}
-			}
 		}
 		return count
 	}
 
-	switch {
-	case r.batch:
+	if r.batch {
 		r.smp.Reseed(blockSeed(seed, b))
 		// One 64-lane word per iteration; the final word is masked to the
 		// remainder so exactly n shots run and the reported total can never
@@ -356,7 +336,7 @@ func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) int {
 			est.batch.Run(r.bs, r.smp, live)
 			count += bits.OnesCount64(est.batch.Judge(r.bs))
 		}
-	case est.prog != nil:
+	} else {
 		r.inj.Rng.Seed(int64(blockSeed(seed, b)))
 		for i := 0; i < n; i++ {
 			if i%ctxPollShots == 0 && ctx.Err() != nil {
@@ -364,16 +344,6 @@ func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) int {
 			}
 			est.prog.Run(r.sh, r.inj)
 			if est.prog.Judge(r.sh) {
-				count++
-			}
-		}
-	default:
-		r.inj.Rng.Seed(int64(blockSeed(seed, b)))
-		for i := 0; i < n; i++ {
-			if i%ctxPollShots == 0 && ctx.Err() != nil {
-				return count
-			}
-			if est.Judge(Run(est.P, r.inj)) {
 				count++
 			}
 		}

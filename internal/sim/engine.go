@@ -15,13 +15,10 @@ type Engine uint8
 
 // Engine values.
 const (
-	// EngineAuto picks the fastest available engine: the 64-lane batch
-	// engine when the protocol compiled, else the scalar compiled engine,
-	// else the interpreted executor.
+	// EngineAuto picks the fastest engine: the 64-lane batch engine.
 	EngineAuto Engine = iota
 
-	// EngineScalar forces the scalar path: the compiled Program when
-	// available, the interpreted executor otherwise.
+	// EngineScalar forces the scalar compiled Program, one shot at a time.
 	EngineScalar
 
 	// EngineBatch requires the 64-lane bit-parallel engine; selecting it
@@ -29,9 +26,11 @@ const (
 	EngineBatch
 )
 
-// ErrEngineUnavailable rejects an explicit EngineBatch selection when the
-// protocol exceeded the compiled engine's packing limits.
-var ErrEngineUnavailable = errors.New("sim: batch engine unavailable for this protocol")
+// ErrEngineUnavailable reports a protocol beyond the compiled engine's
+// packing limits (see Compile), which no production engine can simulate:
+// the certificate, the estimators and an explicit EngineBatch selection all
+// return it.
+var ErrEngineUnavailable = errors.New("sim: compiled engine unavailable for this protocol")
 
 // ParseEngine resolves an engine name: "" and "auto" select EngineAuto,
 // "scalar" and "batch" their engines.
@@ -71,8 +70,7 @@ func DefaultEngine() Engine {
 
 // SetEngine overrides the estimator's engine selection (NewEstimator
 // defaults to DefaultEngine()). Selecting EngineBatch on an estimator whose
-// protocol fell back to the interpreted executor returns
-// ErrEngineUnavailable.
+// protocol did not compile returns ErrEngineUnavailable.
 func (est *Estimator) SetEngine(e Engine) error {
 	if e == EngineBatch && est.batch == nil {
 		return ErrEngineUnavailable

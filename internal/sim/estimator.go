@@ -6,11 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/decoder"
-	"repro/internal/f2"
 	"repro/internal/noise"
 )
 
@@ -34,12 +31,6 @@ var (
 	ErrBadTarget = errors.New("sim: target RSE out of range")
 )
 
-// xDecoder is the slice of the decoder API Judge needs; both
-// decoder.Lookup and decoder.Dense satisfy it with bit-identical results.
-type xDecoder interface {
-	Decode(e f2.Vec) f2.Vec
-}
-
 // Estimator measures logical error rates of a protocol under the E1_1
 // depolarizing model, following the paper's evaluation: the protocol is
 // followed by one perfect round of lookup-table error correction and a
@@ -47,33 +38,30 @@ type xDecoder interface {
 // corrected result anticommutes with a logical operator of the prepared
 // eigenstate (a logical Z for |0>_L, flipped by residual X errors).
 //
-// NewEstimator also compiles the protocol into a Program; every sampling
-// entry point (AdaptiveModel, RareEventAdaptiveModel, BlockRunner) runs the
-// compiled allocation-free engine when compilation succeeded and falls back
-// to the interpreted executor otherwise. Both paths are bit-identical for a
-// shared RNG stream.
+// NewEstimator compiles the protocol into a Program and its 64-lane Batch,
+// the one production shot engine: every entry point (FaultOrderModel,
+// AdaptiveModel, RareEventAdaptiveModel, NewBlockRunnerModel,
+// NonDeterministicStats) runs on it. The reference executor Run is kept
+// only as a test oracle. A protocol beyond the engine's packing limits has
+// no engine; the entry points then return ErrEngineUnavailable.
 type Estimator struct {
 	P      *core.Protocol
-	decX   xDecoder // corrects X errors via Z checks
 	prog   *Program // compiled shot engine; nil if compilation failed
 	batch  *Batch   // 64-lane engine over prog; nil if compilation failed
+	err    error    // why compilation failed, wrapping ErrEngineUnavailable
 	engine Engine   // requested engine; resolved by useBatch
-
-	kindsOnce sync.Once
-	locKinds  []noise.LocKind // fault-free-path location kinds; set by kindsOnce
 }
 
 // LocationKinds returns the location-kind vector of the protocol's
 // fault-free path in execution order — one entry per fault location, the N
-// of the fault-order and rare-event estimators — counting it on first use
-// and caching it on the estimator. It is safe for concurrent use.
+// of the fault-order and rare-event estimators — as recorded by Compile;
+// nil when the protocol did not compile. The slice is shared and must not
+// be modified.
 func (est *Estimator) LocationKinds() []noise.LocKind {
-	est.kindsOnce.Do(func() {
-		ctr := &noise.Counter{}
-		Run(est.P, ctr)
-		est.locKinds = ctr.Kinds
-	})
-	return est.locKinds
+	if est.prog == nil {
+		return nil
+	}
+	return est.prog.kinds
 }
 
 // ClassCounts returns the per-class location counts of the fault-free path,
@@ -82,29 +70,26 @@ func (est *Estimator) ClassCounts() [3]int {
 	return noise.CountKinds(est.LocationKinds())
 }
 
-// NewEstimator builds the decoder for the protocol's code and compiles the
-// shot program plus its 64-lane batch engine. When compilation succeeds
-// Judge shares the program's dense decoder (the minimum-weight table is
-// built exactly once); the interpreted fallback builds a lookup table
-// instead. The sampling engine defaults to DefaultEngine() — batch when
-// available unless DFTSP_ENGINE says otherwise; override with SetEngine.
+// NewEstimator compiles the shot program plus its 64-lane batch engine;
+// Judge shares the program's dense decoder. A protocol beyond the packing
+// limits gets an estimator whose entry points return the compile error
+// wrapped in ErrEngineUnavailable. The sampling engine defaults to
+// DefaultEngine() — batch unless DFTSP_ENGINE says otherwise; override with
+// SetEngine.
 func NewEstimator(p *core.Protocol) *Estimator {
 	est := &Estimator{P: p, engine: DefaultEngine()}
-	if prog, err := Compile(p); err == nil {
-		est.prog = prog
-		est.decX = prog.dec
-		if b, err := NewBatch(prog); err == nil {
-			est.batch = b
-		}
-	} else {
-		est.decX = decoder.NewLookup(p.Code.Hz)
+	prog, err := Compile(p)
+	if err != nil {
+		est.err = fmt.Errorf("%w: %w", ErrEngineUnavailable, err)
+		return est
 	}
+	est.prog = prog
+	est.batch, _ = NewBatch(prog) // fails only for a nil program
 	return est
 }
 
 // Program returns the compiled shot engine, or nil when the protocol
-// exceeded the engine's packing limits and sampling falls back to the
-// interpreted executor.
+// exceeded the engine's packing limits.
 func (est *Estimator) Program() *Program { return est.prog }
 
 // Batch returns the 64-lane bit-parallel engine, or nil when the protocol
@@ -117,9 +102,11 @@ func (est *Estimator) Batch() *Batch { return est.batch }
 // Z errors cannot cause a logical error on |0...0>_L — the state is a +1
 // eigenstate of every logical Z, so any post-EC Z residual (which lies in
 // span(Hz ∪ Lz)) acts trivially; this is also why the paper's simulation
-// reads out only the Z logicals destructively.
+// reads out only the Z logicals destructively. It judges outcomes of the
+// reference executor with the compiled program's decoder, so it needs a
+// protocol that compiled.
 func (est *Estimator) Judge(out Outcome) bool {
-	ex := out.Ex.Xor(est.decX.Decode(out.Ex))
+	ex := out.Ex.Xor(est.prog.dec.Decode(out.Ex))
 	for i := 0; i < est.P.Code.Lz.Rows(); i++ {
 		if ex.Dot(est.P.Code.Lz.Row(i)) == 1 {
 			return true
@@ -170,8 +157,12 @@ func (est *Estimator) FaultOrder(ctx context.Context, maxW, samples int, rng *ra
 // (violations wrap ErrBadOrder; orders above N used to feed binomPMF a
 // negative n-w), and samples must be positive whenever maxW >= 2 requires
 // sampling (violations wrap ErrBadSamples; those strata used to come out
-// as 0/0 = NaN).
+// as 0/0 = NaN). Every fault plan runs on the compiled Program; a protocol
+// that did not compile returns ErrEngineUnavailable.
 func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rng *rand.Rand, ratio noise.Model) (FaultOrderResult, error) {
+	if est.err != nil {
+		return FaultOrderResult{}, est.err
+	}
 	if maxW < 0 {
 		return FaultOrderResult{}, fmt.Errorf("%w: maxW %d < 0", ErrBadOrder, maxW)
 	}
@@ -206,6 +197,10 @@ func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rn
 	}
 	classW := [3]float64{ratio.P1Q, ratio.P2Q, ratio.PMeas}
 
+	// One shot and one fault map serve every plan of the enumeration.
+	prog, sh := est.prog, est.prog.NewShot()
+	faults := map[int]noise.Fault{}
+
 	if maxW >= 1 {
 		// Exhaustive order 1: locations weighted by their class rate,
 		// operators by the menu weights — the model's single-fault
@@ -218,7 +213,10 @@ func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rn
 			ops := noise.OpsFor(kind)
 			var x float64
 			for oi, op := range ops {
-				if !est.Judge(Run(est.P, noise.NewPlan(map[int]noise.Fault{loc: op}))) {
+				clear(faults)
+				faults[loc] = op
+				prog.Run(sh, noise.NewPlan(faults))
+				if !prog.Judge(sh) {
 					continue
 				}
 				if uniform {
@@ -259,7 +257,7 @@ func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rn
 					return FaultOrderResult{}, err
 				}
 			}
-			faults := map[int]noise.Fault{}
+			clear(faults)
 			for len(faults) < w {
 				var loc int
 				if uniform {
@@ -291,8 +289,8 @@ func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rn
 				}
 				faults[loc] = ops[oi]
 			}
-			out := Run(est.P, noise.NewPlan(faults))
-			if est.Judge(out) {
+			prog.Run(sh, noise.NewPlan(faults))
+			if prog.Judge(sh) {
 				x++
 			}
 		}

@@ -104,6 +104,35 @@ func TestFaultOrderModelUniformDelegates(t *testing.T) {
 	}
 }
 
+// TestFaultOrderModelBiasedPinned pins the weighted branch of the
+// stratified estimator: under a per-class ratio with an eta-tilted menu,
+// fixed-seed results on Steane and Carbon must reproduce, bit for bit, the
+// F vectors recorded when orders 1..3 still ran on the reference executor
+// (class-weighted location draws, cumulative-table operator draws).
+func TestFaultOrderModelBiasedPinned(t *testing.T) {
+	ratio := noise.Model{P1Q: 1, P2Q: 2.5, PMeas: 0.5, Eta: 4}
+	for _, tc := range []struct {
+		cs   *code.CSS
+		want FaultOrderResult
+	}{
+		{code.Steane(), FaultOrderResult{N: 21, ClassCounts: [3]int{8, 12, 1}, F: []float64{0, 0,
+			math.Float64frombits(0x3fb7fa89e60f04c7), math.Float64frombits(0x3fc92c5f92c5f92c)}}},
+		{code.Carbon(), FaultOrderResult{N: 71, ClassCounts: [3]int{18, 47, 6}, F: []float64{0, 0,
+			math.Float64frombits(0x3fbc3ece2a53490c), math.Float64frombits(0x3fcfb38a94d242e7)}}},
+	} {
+		t.Run(tc.cs.Name, func(t *testing.T) {
+			est := NewEstimator(buildProto(t, tc.cs))
+			got, err := est.FaultOrderModel(t.Context(), 3, 3000, rand.New(rand.NewSource(17)), ratio)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("biased FaultOrderModel moved off the recorded result:\n got %+v\nwant %+v", got, tc.want)
+			}
+		})
+	}
+}
+
 // TestFaultOrderModelSingleFaultExact cross-checks the weighted exhaustive
 // single-fault enumeration against an independent replay: every location's
 // operators re-run through the interpreted engine, weighted by the class

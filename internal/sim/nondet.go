@@ -3,60 +3,47 @@ package sim
 import (
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/noise"
 )
 
-// NonDetResult summarizes a repeat-until-success (non-deterministic)
-// preparation: the paper's baseline scheme, in which a triggered
-// verification discards the state and restarts instead of correcting.
-type NonDetResult struct {
-	Out      Outcome
-	Attempts int  // preparation rounds executed
-	GaveUp   bool // maxAttempts exhausted without acceptance
-}
-
-// RunNonDeterministic executes the repeat-until-success baseline: the
-// preparation and verification of p run under fresh noise each round, and
-// any verification or flag signal restarts the protocol (corrections are
-// never applied). The accepted state's residual frame is returned along
-// with the number of attempts — the stochastic overhead the deterministic
-// scheme eliminates.
-func RunNonDeterministic(p *core.Protocol, mkInj func() noise.Injector, maxAttempts int) NonDetResult {
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		out := Run(p, mkInj())
-		if !out.Triggered {
-			return NonDetResult{Out: out, Attempts: attempt}
-		}
-	}
-	return NonDetResult{Attempts: maxAttempts, GaveUp: true}
-}
-
 // NonDetStats estimates the acceptance behaviour and post-selected logical
-// error rate of the baseline at physical rate pp.
+// error rate of the repeat-until-success (non-deterministic) baseline: the
+// paper's comparison scheme, in which a triggered verification discards the
+// state and restarts instead of correcting.
 type NonDetStats struct {
 	AcceptRate   float64 // fraction of rounds passing verification
 	MeanAttempts float64 // average rounds until acceptance
 	LogicalRate  float64 // logical error rate of accepted states
 }
 
-// NonDeterministicStats samples the baseline scheme. Shots counts accepted
-// preparations; each uses up to maxAttempts rounds.
-func (est *Estimator) NonDeterministicStats(pp float64, shots, maxAttempts int, rng *rand.Rand) NonDetStats {
+// NonDeterministicStats samples the baseline scheme at physical rate pp:
+// the preparation and verification run under fresh noise each round, any
+// verification or flag signal restarts the protocol (corrections are never
+// applied), and an accepted state is judged like a deterministic one. Shots
+// counts accepted preparations; each uses up to maxAttempts rounds. The
+// rounds run on the compiled Program; a protocol that did not compile
+// returns ErrEngineUnavailable.
+func (est *Estimator) NonDeterministicStats(pp float64, shots, maxAttempts int, rng *rand.Rand) (NonDetStats, error) {
+	if est.err != nil {
+		return NonDetStats{}, est.err
+	}
+	prog, sh := est.prog, est.prog.NewShot()
+	inj := &noise.Depolarizing{P: pp, Rng: rng}
 	rounds, accepted, fails := 0, 0, 0
-	attemptsTotal := 0
+	attemptsTotal := 0 // rounds of the accepted preparations only
 	for s := 0; s < shots; s++ {
-		res := RunNonDeterministic(est.P, func() noise.Injector {
-			return &noise.Depolarizing{P: pp, Rng: rng}
-		}, maxAttempts)
-		rounds += res.Attempts
-		if res.GaveUp {
-			continue
-		}
-		accepted++
-		attemptsTotal += res.Attempts
-		if est.Judge(res.Out) {
-			fails++
+		for attempt := 1; attempt <= maxAttempts; attempt++ {
+			rounds++
+			prog.Run(sh, inj)
+			if sh.Triggered {
+				continue
+			}
+			accepted++
+			attemptsTotal += attempt
+			if prog.Judge(sh) {
+				fails++
+			}
+			break
 		}
 	}
 	st := NonDetStats{}
@@ -67,5 +54,5 @@ func (est *Estimator) NonDeterministicStats(pp float64, shots, maxAttempts int, 
 		st.MeanAttempts = float64(attemptsTotal) / float64(accepted)
 		st.LogicalRate = float64(fails) / float64(accepted)
 	}
-	return st
+	return st, nil
 }

@@ -5,8 +5,31 @@ import (
 	"testing"
 
 	"repro/internal/code"
+	"repro/internal/core"
 	"repro/internal/noise"
 )
+
+// NonDetResult summarizes one repeat-until-success preparation.
+type NonDetResult struct {
+	Out      Outcome
+	Attempts int  // preparation rounds executed
+	GaveUp   bool // maxAttempts exhausted without acceptance
+}
+
+// RunNonDeterministic executes the repeat-until-success baseline on the
+// reference executor: the preparation and verification of p run under a
+// fresh injector each round, and any verification or flag signal restarts
+// the protocol (corrections are never applied). The accepted state's
+// residual frame is returned along with the number of attempts.
+func RunNonDeterministic(p *core.Protocol, mkInj func() noise.Injector, maxAttempts int) NonDetResult {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
+		out := Run(p, mkInj())
+		if !out.Triggered {
+			return NonDetResult{Out: out, Attempts: attempt}
+		}
+	}
+	return NonDetResult{Attempts: maxAttempts, GaveUp: true}
+}
 
 func TestNonDetAcceptsCleanRuns(t *testing.T) {
 	p := buildProto(t, code.Steane())
@@ -59,7 +82,10 @@ func TestNonDetStatsBehaviour(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	rng := rand.New(rand.NewSource(9))
-	st := est.NonDeterministicStats(0.02, 4000, 100, rng)
+	st, err := est.NonDeterministicStats(0.02, 4000, 100, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.AcceptRate <= 0.5 || st.AcceptRate >= 1 {
 		t.Fatalf("acceptance rate %.3f implausible at p=0.02", st.AcceptRate)
 	}
@@ -81,7 +107,10 @@ func TestDeterministicMatchesBaselineQuality(t *testing.T) {
 	est := NewEstimator(p)
 	rng := rand.New(rand.NewSource(10))
 	det := directMC(t, est, 0.01, 60000, rng)
-	nd := est.NonDeterministicStats(0.01, 30000, 100, rng)
+	nd, err := est.NonDeterministicStats(0.01, 30000, 100, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if det <= 0 || nd.LogicalRate < 0 {
 		t.Fatalf("degenerate rates: det=%g nd=%g", det, nd.LogicalRate)
 	}

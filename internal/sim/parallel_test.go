@@ -23,7 +23,7 @@ func mcp(t *testing.T, est *Estimator, p float64, shots int, seed int64, workers
 	return res.PL
 }
 
-func TestDirectMCParallelAgreesWithSerial(t *testing.T) {
+func TestAdaptiveModelParallelAgreesWithSerial(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	const pp, shots = 0.03, 40000
@@ -38,7 +38,7 @@ func TestDirectMCParallelAgreesWithSerial(t *testing.T) {
 	}
 }
 
-func TestDirectMCParallelDeterministicForSeed(t *testing.T) {
+func TestAdaptiveModelParallelDeterministicForSeed(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	a := mcp(t, est, 0.05, 5000, 42, 0)
@@ -48,14 +48,14 @@ func TestDirectMCParallelDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestDirectMCParallelSmallShotCount(t *testing.T) {
+func TestAdaptiveModelParallelSmallShotCount(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	// Fewer shots than CPUs must still work.
 	_ = mcp(t, est, 0.1, 3, 1, 0)
 }
 
-func TestDirectMCParallelExplicitWorkers(t *testing.T) {
+func TestAdaptiveModelParallelExplicitWorkers(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	// The result is a pure function of (seed, workers, shots), so a fixed
@@ -70,7 +70,7 @@ func TestDirectMCParallelExplicitWorkers(t *testing.T) {
 	}
 }
 
-func TestDirectMCParallelCancellation(t *testing.T) {
+func TestAdaptiveModelParallelCancellation(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	// A shot count that would take minutes serially must abort promptly

@@ -31,7 +31,7 @@ import (
 //
 // A Program is immutable after Compile and safe for concurrent use; all
 // per-shot mutable state lives in a Shot. Run consumes the fault injector
-// in exactly the interpreted executor's order, so for any fixed fault plan
+// in exactly the reference executor's order, so for any fixed fault plan
 // (or shared RNG stream) Program.Run and Run produce bit-identical
 // outcomes — the cross-check tests pin this down.
 type Program struct {
@@ -40,6 +40,7 @@ type Program struct {
 	layers []progLayer
 	dec    *decoder.Dense
 	lz     [][]uint64
+	kinds  []noise.LocKind // location kinds of the fault-free path
 }
 
 // gate op kinds of the compiled preparation circuit.
@@ -102,11 +103,12 @@ type Shot struct {
 	Triggered, UnknownClass, TerminatedEarly bool
 }
 
-// Compile flattens the protocol into a Program. It returns an error when
-// the protocol exceeds the engine's packing limits (more than 31
-// verification measurements in a layer, more than 20 block measurements, a
-// decoder rank above the dense-table bound) or contains malformed class
-// keys; callers fall back to the interpreted Run path in that case.
+// Compile flattens the protocol into a Program and records the location
+// kinds of its fault-free path. It returns an error when the protocol
+// exceeds the engine's packing limits (more than 31 verification
+// measurements in a layer, more than 20 block measurements, a decoder rank
+// above the dense-table bound) or contains malformed class keys; the
+// estimation entry points report ErrEngineUnavailable for such a protocol.
 func Compile(p *core.Protocol) (*Program, error) {
 	n := p.Code.N
 	pr := &Program{n: n, nw: (n + 63) / 64}
@@ -176,6 +178,9 @@ func Compile(p *core.Protocol) (*Program, error) {
 		copy(row, p.Code.Lz.Row(i).Words())
 		pr.lz = append(pr.lz, row)
 	}
+	ctr := &noise.Counter{}
+	pr.Run(pr.NewShot(), ctr)
+	pr.kinds = ctr.Kinds
 	return pr, nil
 }
 
@@ -497,8 +502,9 @@ func (pr *Program) Judge(sh *Shot) bool {
 	return false
 }
 
-// Outcome converts the shot's state into the interpreted executor's Outcome
-// form (allocating; used by the cross-check tests, never by the hot loop).
+// Outcome converts the shot's state into the reference executor's Outcome
+// form (allocating; used by the FT certificate and the cross-check tests,
+// never by the hot loop).
 func (pr *Program) Outcome(sh *Shot) Outcome {
 	out := Outcome{
 		Ex:              f2.NewVec(pr.n),

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/code"
+	"repro/internal/core"
 	"repro/internal/noise"
 )
 
@@ -204,10 +207,10 @@ func TestEstimatorValidation(t *testing.T) {
 		run  func() error
 		want error
 	}{
-		{"DirectMC zero shots", func() error { return direct(0, 0, 1) }, ErrBadShots},
-		{"DirectMC negative shots", func() error { return direct(0, -5, 1) }, ErrBadShots},
-		{"DirectMCParallel zero shots", func() error { return direct(0, 0, 2) }, ErrBadShots},
-		{"DirectMCParallel negative shots", func() error { return direct(0, -1, 2) }, ErrBadShots},
+		{"AdaptiveModel zero shots", func() error { return direct(0, 0, 1) }, ErrBadShots},
+		{"AdaptiveModel negative shots", func() error { return direct(0, -5, 1) }, ErrBadShots},
+		{"AdaptiveModel parallel zero shots", func() error { return direct(0, 0, 2) }, ErrBadShots},
+		{"AdaptiveModel parallel negative shots", func() error { return direct(0, -1, 2) }, ErrBadShots},
 		{"Adaptive zero cap", func() error {
 			_, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.01), 0.1, 0, 1, 2)
 			return err
@@ -242,10 +245,75 @@ func TestEstimatorValidation(t *testing.T) {
 	}
 }
 
-// TestDirectMCParallelWorkerClamp pins the worker clamp of the fixed-budget
-// direct estimate: more workers than blocks must give exactly the result of
-// fewer workers.
-func TestDirectMCParallelWorkerClamp(t *testing.T) {
+// overLimitProtocol returns the Steane protocol plus a hand-built
+// verification layer of 32 measurements, one more than a packed layer
+// signature holds. Its fault-free path is well defined, but no production
+// engine can simulate it.
+func overLimitProtocol(t *testing.T) *core.Protocol {
+	t.Helper()
+	p := *buildProto(t, code.Steane())
+	first := p.Layers[0]
+	p.Layers = append(slices.Clip(p.Layers), &core.Layer{
+		Detects: first.Detects,
+		Verif:   slices.Repeat(first.Verif[:1], maxLayerMeas+1),
+		Classes: map[string]*core.ClassCorrection{},
+	})
+	return &p
+}
+
+// TestOverLimitProtocolEngineUnavailable pins the typed refusal of a
+// protocol beyond the packing limits: every simulation entry point returns
+// ErrEngineUnavailable at once instead of running an interpreted fallback.
+func TestOverLimitProtocolEngineUnavailable(t *testing.T) {
+	p := overLimitProtocol(t)
+	est := NewEstimator(p)
+	ctx := t.Context()
+	rng := rand.New(rand.NewSource(1))
+	start := time.Now()
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"ExhaustiveFaultCheck", func() error { return ExhaustiveFaultCheck(p) }},
+		{"FaultOrderModel", func() error {
+			_, err := est.FaultOrderModel(ctx, 2, 1000, rng, noise.Uniform(1))
+			return err
+		}},
+		{"AdaptiveModel", func() error {
+			_, err := est.AdaptiveModel(ctx, MethodAuto, noise.Uniform(1e-3), 0.1, 100_000, 1, 1)
+			return err
+		}},
+		{"RareEventAdaptiveModel", func() error {
+			_, err := est.RareEventAdaptiveModel(ctx, noise.Uniform(1e-3), 0.1, 100_000, 1, 1)
+			return err
+		}},
+		{"NewBlockRunnerModel", func() error {
+			_, err := est.NewBlockRunnerModel(MethodDirect, noise.Uniform(1e-3))
+			return err
+		}},
+		{"NonDeterministicStats", func() error {
+			_, err := est.NonDeterministicStats(1e-3, 1000, 10, rng)
+			return err
+		}},
+		{"SetEngine batch", func() error { return est.SetEngine(EngineBatch) }},
+	}
+	for _, tc := range cases {
+		if err := tc.run(); !errors.Is(err, ErrEngineUnavailable) {
+			t.Errorf("%s: err = %v, want ErrEngineUnavailable", tc.name, err)
+		}
+	}
+	if est.Program() != nil || est.Batch() != nil || est.LocationKinds() != nil || Locations(p) != 0 {
+		t.Error("over-limit protocol exposes a compiled engine")
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("refusals took %v, want < 1s", elapsed)
+	}
+}
+
+// TestAdaptiveModelParallelWorkerClamp pins the worker clamp of the
+// fixed-budget direct estimate: more workers than blocks must give exactly
+// the result of fewer workers.
+func TestAdaptiveModelParallelWorkerClamp(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	ctx := t.Context()
@@ -263,10 +331,11 @@ func TestDirectMCParallelWorkerClamp(t *testing.T) {
 	}
 }
 
-// TestDirectMCAdaptive covers the adaptive stopping rule: an easy target
-// stops well before the cap with the target met, an impossible target runs
-// to the cap exactly, and fixed (seed, workers) reproduce bit-identically.
-func TestDirectMCAdaptive(t *testing.T) {
+// TestAdaptiveModelDirectStopping covers the adaptive stopping rule: an easy
+// target stops well before the cap with the target met, an impossible
+// target runs to the cap exactly, and fixed (seed, workers) reproduce
+// bit-identically.
+func TestAdaptiveModelDirectStopping(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	ctx := t.Context()

@@ -7,12 +7,15 @@
 // only tracks the frame (the accumulated Pauli error) through the branching
 // protocol. The package provides
 //
-//   - Run: one protocol execution under an arbitrary fault injector;
+//   - Program (Compile) and its 64-lane twin Batch: the one production shot
+//     engine, allocation-free per shot;
 //   - ExhaustiveFaultCheck: the strict fault-tolerance certificate — every
 //     possible single fault is enumerated and the residual must have
 //     stabilizer-reduced weight ≤ 1 in both sectors (Definition 1, t = 1);
-//   - Estimator: logical error rates by direct Monte-Carlo and by
-//     fault-order (subset) stratification, reproducing Fig. 4.
+//   - Estimator: logical error rates by direct Monte-Carlo, rare-event
+//     sampling and fault-order (subset) stratification, reproducing Fig. 4;
+//   - Run: the reference executor, an independent interpretation of the
+//     protocol kept as the oracle the compiled engines are tested against.
 package sim
 
 import (
@@ -58,7 +61,9 @@ type executor struct {
 	out Outcome
 }
 
-// Run executes the protocol once under the injector and returns the outcome.
+// Run executes the protocol once under the injector and returns the
+// outcome. It is the reference executor the compiled engines are tested
+// against; production paths run the compiled Program instead.
 func Run(p *core.Protocol, inj noise.Injector) Outcome {
 	ex := &executor{
 		p:   p,
@@ -298,15 +303,21 @@ func (e *executor) measure(m *core.Measurement) (out, flag bool) {
 // the paper's Definition 1 for t = 1, checked exactly rather than sampled.
 // Faults inside conditional correction circuits are second-order events (a
 // branch only runs after a first fault) and excluded by the definition.
+// The faults run on the compiled Program; a protocol that does not compile
+// returns the compile error wrapped in ErrEngineUnavailable.
 func ExhaustiveFaultCheck(p *core.Protocol) error {
-	counter := &noise.Counter{}
-	Run(p, counter)
-	for loc, kind := range counter.Kinds {
+	prog, err := Compile(p)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrEngineUnavailable, err)
+	}
+	sh := prog.NewShot()
+	for loc, kind := range prog.kinds {
 		for _, op := range noise.OpsFor(kind) {
-			out := Run(p, noise.NewPlan(map[int]noise.Fault{loc: op}))
-			if out.UnknownClass {
+			prog.Run(sh, noise.NewPlan(map[int]noise.Fault{loc: op}))
+			if sh.UnknownClass {
 				return fmt.Errorf("sim: fault %+v at location %d hits an unsynthesized class", op, loc)
 			}
+			out := prog.Outcome(sh)
 			if w := p.Code.ReducedWeight(code.ErrX, out.Ex); w > 1 {
 				return fmt.Errorf("sim: fault %+v at location %d leaves X residual %v (weight %d)", op, loc, out.Ex, w)
 			}
@@ -319,9 +330,12 @@ func ExhaustiveFaultCheck(p *core.Protocol) error {
 }
 
 // Locations returns the number of fault locations on the fault-free path,
-// the N used by the fault-order estimator.
+// the N used by the fault-order estimator, as counted by Compile; 0 for a
+// protocol beyond the compiled engine's packing limits.
 func Locations(p *core.Protocol) int {
-	counter := &noise.Counter{}
-	Run(p, counter)
-	return counter.N()
+	prog, err := Compile(p)
+	if err != nil {
+		return 0
+	}
+	return len(prog.kinds)
 }

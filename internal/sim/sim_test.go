@@ -2,8 +2,11 @@ package sim
 
 import (
 	"context"
+	"maps"
 	"math/bits"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/code"
@@ -88,6 +91,34 @@ func TestExhaustiveFaultCheckLargeCodes(t *testing.T) {
 	}
 }
 
+// TestExhaustiveFaultCheckRejectsUnverifiedPrep guards the certificate
+// against passing vacuously: the Steane encoder without its verification
+// layers is not fault-tolerant, and some single CNOT fault must leave a
+// weight-2 residual.
+func TestExhaustiveFaultCheckRejectsUnverifiedPrep(t *testing.T) {
+	p := *buildProto(t, code.Steane())
+	p.Layers = nil
+	err := ExhaustiveFaultCheck(&p)
+	if err == nil || !strings.Contains(err.Error(), "(weight 2)") {
+		t.Fatalf("unverified Steane encoder: err = %v, want a weight-2 residual", err)
+	}
+}
+
+// TestExhaustiveFaultCheckRejectsMissingClass deletes one synthesized
+// correction class: the single fault whose signature selects it must be
+// reported as hitting an unsynthesized class.
+func TestExhaustiveFaultCheckRejectsMissingClass(t *testing.T) {
+	p := *buildProto(t, code.Steane())
+	layer := *p.Layers[0]
+	layer.Classes = maps.Clone(layer.Classes)
+	delete(layer.Classes, slices.Sorted(maps.Keys(layer.Classes))[0])
+	p.Layers = append([]*core.Layer{&layer}, p.Layers[1:]...)
+	err := ExhaustiveFaultCheck(&p)
+	if err == nil || !strings.Contains(err.Error(), "unsynthesized class") {
+		t.Fatalf("protocol with a deleted class: err = %v, want an unsynthesized class", err)
+	}
+}
+
 func TestSingleDangerousFaultTriggers(t *testing.T) {
 	// On Steane, some single fault must trigger the verification (the prep
 	// circuit is not FT by itself), and all triggering faults are
@@ -144,7 +175,7 @@ func TestQuadraticScaling(t *testing.T) {
 	}
 }
 
-func TestDirectMCAgreesWithStratified(t *testing.T) {
+func TestAdaptiveModelAgreesWithStratified(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
