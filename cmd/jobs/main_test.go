@@ -218,12 +218,14 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process kill-and-resume acceptance test; skipped with -short")
 	}
-	const budget = 400 * sim.BlockShots
+	// Large enough that the single-worker run is still sampling when the
+	// first checkpoint appears and the kill lands.
+	const budget = 800 * sim.BlockShots
 	dir := t.TempDir()
 	args := []string{
 		"submit", "-dir", dir, "-code", "Steane",
 		"-rates", "0.04", "-mc-shots", strconv.Itoa(budget),
-		"-engine", "scalar", "-method", "direct", "-seed", "3", "-workers", "1",
+		"-method", "direct", "-seed", "3", "-workers", "1",
 	}
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), "JOBS_CLI_HELPER=1", "JOBS_CLI_ARGS="+strings.Join(args, "\x1f"))
@@ -241,7 +243,6 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 	spec := jobs.Spec{
 		ProtocolKey: key,
 		Method:      "direct",
-		Engine:      "scalar",
 		Rates:       []float64{0.04},
 		MCShots:     budget,
 		Seed:        3,
@@ -300,7 +301,7 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 	refArgs := []string{
 		"submit", "-dir", refDir, "-code", "Steane",
 		"-rates", "0.04", "-mc-shots", strconv.Itoa(budget),
-		"-engine", "scalar", "-method", "direct", "-seed", "3",
+		"-method", "direct", "-seed", "3",
 	}
 	if code, stdout, stderr := runCLI(t, refArgs...); code != 0 {
 		t.Fatalf("reference submit: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)

@@ -211,7 +211,7 @@ func TestMetricsExposesAllSubsystems(t *testing.T) {
 		"dftsp_service_store_writes_total 1",
 		"dftsp_synthesize_seconds_count 1",
 		"dftsp_estimate_seconds_count 1",
-		`dftsp_service_shots_sampled_total{engine=`,
+		`dftsp_service_shots_sampled_total{method=`,
 		`dftsp_http_requests_total{endpoint="synthesize",code="200"} 1`,
 		`dftsp_http_request_seconds_bucket{endpoint=`,
 		"dftsp_jobs_running 0",

@@ -89,12 +89,9 @@
 // "method" (the method that ran), "effective_samples" (Kish effective
 // sample size under the rare-event post-stratification weights) and
 // "weight_variance" alongside the "mc" estimate, even when those values
-// are legitimately zero; unsampled points carry only "p" and "pl". The
-// "engine" option selects the Monte-Carlo engine ("auto" default: the
-// 64-lane bit-parallel batch engine when the protocol compiles; "scalar"
-// forces the compiled scalar path; "batch" rejects protocols past the
-// packing limits with 400). The server-wide default is overridable with
-// the DFTSP_ENGINE environment variable.
+// are legitimately zero; unsampled points carry only "p" and "pl". Every
+// shot runs on the 64-lane bit-parallel batch engine; a protocol past its
+// packing limits is refused with 400.
 //
 // Both /estimate and /jobs accept per-location-class noise model options:
 // "bias_2q" and "bias_meas" scale the two-qubit and measurement fault rates

@@ -255,15 +255,18 @@ func TestEstimateEndpoint(t *testing.T) {
 		t.Fatalf("unknown method: status %d: %v", status, out)
 	}
 
-	// Engine selection: an explicit scalar engine serves normally, an
-	// unknown engine is a client error before any synthesis-priced work.
-	body = `{"options":{"code":"Steane"},"estimate":{"rates":[0.05],"max_order":1,"mc_shots":500,"engine":"scalar"}}`
+	// A fixed-budget estimate feeds the throughput counters checked below.
+	body = `{"options":{"code":"Steane"},"estimate":{"rates":[0.05],"max_order":1,"mc_shots":500}}`
 	if status, out := postJSON(t, ts.URL+"/estimate", body); status != http.StatusOK {
-		t.Fatalf("scalar engine: status %d: %v", status, out)
+		t.Fatalf("fixed-budget estimate: status %d: %v", status, out)
 	}
-	body = `{"options":{"code":"Steane"},"estimate":{"rates":[0.05],"engine":"warp"}}`
-	if status, out := postJSON(t, ts.URL+"/estimate", body); status != http.StatusBadRequest {
-		t.Fatalf("unknown engine: status %d: %v", status, out)
+	// The engine option is gone: every shot runs on the batch engine, and a
+	// request that still names one is an unknown field.
+	for _, engine := range []string{"scalar", "batch"} {
+		body = `{"options":{"code":"Steane"},"estimate":{"rates":[0.05],"mc_shots":500,"engine":"` + engine + `"}}`
+		if status, out := postJSON(t, ts.URL+"/estimate", body); status != http.StatusBadRequest {
+			t.Fatalf("engine %q: status %d: %v", engine, status, out)
+		}
 	}
 
 	// The estimation volume above must surface as operator-visible
@@ -794,10 +797,11 @@ func TestJobsErrorMapping(t *testing.T) {
 
 	// Bad submissions → 400.
 	for _, body := range []string{
-		`{"options":{"code":"Steane"},"estimate":{"rates":[0.03]}}`,              // no budget
-		`{"options":{"code":"Steane"},"estimate":{"rates":[2],"mc_shots":1000}}`, // bad rate
-		`{"options":{"code":"NoSuchCode"},"estimate":{"mc_shots":1000}}`,         // unknown code
-		`{"options":{"code":"Steane"},"estimate":{"mc_shots":-1}}`,               // negative budget
+		`{"options":{"code":"Steane"},"estimate":{"rates":[0.03]}}`,                    // no budget
+		`{"options":{"code":"Steane"},"estimate":{"rates":[2],"mc_shots":1000}}`,       // bad rate
+		`{"options":{"code":"NoSuchCode"},"estimate":{"mc_shots":1000}}`,               // unknown code
+		`{"options":{"code":"Steane"},"estimate":{"mc_shots":-1}}`,                     // negative budget
+		`{"options":{"code":"Steane"},"estimate":{"mc_shots":1000,"engine":"scalar"}}`, // retired option
 	} {
 		if status, resp := postJSON(t, ts.URL+"/jobs", body); status != http.StatusBadRequest {
 			t.Errorf("POST /jobs %s: status %d (%v), want 400", body, status, resp)
@@ -822,7 +826,9 @@ func TestJobsCancelAndServerRestart(t *testing.T) {
 	dir := t.TempDir()
 	ts1, _, _ := newJobsServer(t, dir)
 
-	body := `{"options":{"code":"Steane"},"estimate":{"rates":[0.04],"mc_shots":163840,"engine":"scalar","seed":3}}`
+	// Three points of three rounds each: enough work that the cancel,
+	// issued right after the submit, lands mid-run.
+	body := `{"options":{"code":"Steane"},"estimate":{"rates":[0.03,0.04,0.05],"mc_shots":393216,"seed":3}}`
 	status, sub := postJSON(t, ts1.URL+"/jobs", body)
 	if status != http.StatusAccepted {
 		t.Fatalf("POST /jobs: status %d: %v", status, sub)
@@ -832,12 +838,17 @@ func TestJobsCancelAndServerRestart(t *testing.T) {
 	status, cancelled := postJSON(t, ts1.URL+"/jobs/"+id+"/cancel", "{}")
 	switch status {
 	case http.StatusOK:
-		if cancelled["state"] != "cancelled" && cancelled["state"] != "done" {
+		switch cancelled["state"] {
+		case "cancelled":
+		case "done":
+			t.Log("job finished before the cancel; the resume path was not exercised")
+		default:
 			t.Fatalf("after cancel: state %v", cancelled["state"])
 		}
 	case http.StatusNotFound:
 		// The job finished before the cancel landed; nothing to resume
 		// below, but the resubmit path still must return it as done.
+		t.Log("job finished before the cancel; the resume path was not exercised")
 	default:
 		t.Fatalf("cancel: status %d: %v", status, cancelled)
 	}
@@ -857,9 +868,11 @@ func TestJobsCancelAndServerRestart(t *testing.T) {
 		}
 		if st["state"] == "done" {
 			points, _ := st["points"].([]any)
-			pt, _ := points[0].(map[string]any)
-			if pt["shots"] != float64(163840) {
-				t.Fatalf("resumed job ran %v shots, want 163840", pt["shots"])
+			for i, p := range points {
+				pt, _ := p.(map[string]any)
+				if pt["shots"] != float64(393216) {
+					t.Fatalf("resumed job ran %v shots at point %d, want 393216", pt["shots"], i)
+				}
 			}
 			break
 		}

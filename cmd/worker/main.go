@@ -5,7 +5,7 @@
 // (docs/shard-protocol.md): resolve the shard's protocol by key (from a
 // local read-only store if -store is given, otherwise fetched from the
 // coordinator), execute its block range on the deterministic block
-// scheduler with the resolved engine, method, noise model and seed, and
+// scheduler with the resolved method, noise model and seed, and
 // report the pooled counts back under the lease's fencing generation.
 //
 // Because shard RNG streams are keyed by block index and counts pool by
@@ -234,7 +234,7 @@ func (w *worker) execute(lease *shardrpc.Lease) {
 // runShard executes the task's block range on the deterministic block
 // scheduler — the identical streams the coordinator's local pool would run.
 func (w *worker) runShard(ctx context.Context, task shardrpc.Task) (sim.Counts, error) {
-	est, err := w.src.estimator(ctx, task.ProtocolKey, task.Engine)
+	est, err := w.src.estimator(ctx, task.ProtocolKey)
 	if err != nil {
 		return sim.Counts{}, err
 	}
@@ -273,11 +273,10 @@ func (w *worker) chaosDelay(ctx context.Context) {
 	}
 }
 
-// protocolSource resolves protocol keys to engine-configured estimators,
-// caching one estimator per (key, engine): a local read-only store first,
-// the coordinator's protocol endpoint second. Estimators are shared
-// read-only across slots, exactly as the coordinator's own pool shares
-// them.
+// protocolSource resolves protocol keys to estimators, caching one
+// estimator per key: a local read-only store first, the coordinator's
+// protocol endpoint second. Estimators are shared read-only across slots,
+// exactly as the coordinator's own pool shares them.
 type protocolSource struct {
 	client *shardrpc.Client
 	store  *store.Store
@@ -286,17 +285,11 @@ type protocolSource struct {
 	ests map[string]*sim.Estimator
 }
 
-// estimator returns the cached (or freshly resolved) estimator for key
-// with the given resolved engine selected.
-func (ps *protocolSource) estimator(ctx context.Context, key, engine string) (*sim.Estimator, error) {
-	eng, err := sim.ParseEngine(engine)
-	if err != nil {
-		return nil, err
-	}
-	ck := key + "\x00" + engine
+// estimator returns the cached (or freshly resolved) estimator for key.
+func (ps *protocolSource) estimator(ctx context.Context, key string) (*sim.Estimator, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if est, ok := ps.ests[ck]; ok {
+	if est, ok := ps.ests[key]; ok {
 		return est, nil
 	}
 	var cp *core.Protocol
@@ -316,11 +309,6 @@ func (ps *protocolSource) estimator(ctx context.Context, key, engine string) (*s
 		}
 	}
 	est := sim.NewEstimator(cp)
-	if eng != sim.EngineAuto {
-		if err := est.SetEngine(eng); err != nil {
-			return nil, err
-		}
-	}
-	ps.ests[ck] = est
+	ps.ests[key] = est
 	return est, nil
 }

@@ -171,6 +171,13 @@ func TestEstimateBadOptionsRegressions(t *testing.T) {
 		{"target_rse >= 1", EstimateOptions{Rates: []float64{1e-2}, TargetRSE: 1.5}},
 		{"negative mc_min_rate", EstimateOptions{Rates: []float64{1e-2}, MCMinRate: -1}},
 		{"max_order above locations", EstimateOptions{Rates: []float64{1e-2}, MaxOrder: 10_000, Samples: 10}},
+		{"NaN rate", EstimateOptions{Rates: []float64{math.NaN()}}},
+		{"+Inf rate", EstimateOptions{Rates: []float64{math.Inf(1)}}},
+		{"-Inf rate", EstimateOptions{Rates: []float64{math.Inf(-1)}}},
+		{"NaN target_rse", EstimateOptions{Rates: []float64{1e-2}, TargetRSE: math.NaN()}},
+		{"+Inf target_rse", EstimateOptions{Rates: []float64{1e-2}, TargetRSE: math.Inf(1)}},
+		{"NaN mc_min_rate", EstimateOptions{Rates: []float64{1e-2}, MCShots: 100, MCMinRate: math.NaN()}},
+		{"+Inf mc_min_rate", EstimateOptions{Rates: []float64{1e-2}, MCShots: 100, MCMinRate: math.Inf(1)}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -357,53 +364,10 @@ func TestEstimateBiasValidation(t *testing.T) {
 	}
 }
 
-// TestEstimateEngineSelection covers the Engine escape hatch at the facade:
-// the explicit engines sample successfully and agree statistically, while a
-// bogus name is rejected as ErrBadOptions before any synthesis-priced work.
-func TestEstimateEngineSelection(t *testing.T) {
-	p, err := Synthesize(bg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(engine string) EstimateResult {
-		t.Helper()
-		res, err := p.Estimate(bg, EstimateOptions{
-			Rates:    []float64{5e-2},
-			MaxOrder: 1,
-			MCShots:  20_000,
-			Workers:  2,
-			Engine:   engine,
-		})
-		if err != nil {
-			t.Fatalf("engine %q: %v", engine, err)
-		}
-		if res.Points[0].Shots != 20_000 {
-			t.Fatalf("engine %q ran %d shots, want 20000", engine, res.Points[0].Shots)
-		}
-		return res
-	}
-	scalar := run("scalar")
-	batch := run("batch")
-	auto := run("auto")
-	// Generous agreement bound: at p=0.05 the logical rate is a few percent,
-	// so 20k-shot estimates from independent streams land within ~0.01.
-	if diff := math.Abs(scalar.Points[0].MC - batch.Points[0].MC); diff > 0.02 {
-		t.Fatalf("scalar %g and batch %g estimates too far apart", scalar.Points[0].MC, batch.Points[0].MC)
-	}
-	if auto.Points[0].MC == 0 {
-		t.Fatal("auto engine sampled no failures")
-	}
-
-	_, err = p.Estimate(bg, EstimateOptions{Rates: []float64{1e-2}, Engine: "warp"})
-	if !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("bogus engine: err = %v, want ErrBadOptions", err)
-	}
-}
-
 // TestEstimateOverLimitProtocolIsBadOptions pins the facade mapping of a
 // protocol beyond the compiled engine's packing limits: a hand-built extra
-// layer of 32 verification measurements makes every engine selection fail
-// fast with ErrBadOptions (the HTTP 400 class), wrapping the simulator's
+// layer of 32 verification measurements makes the estimate fail fast with
+// ErrBadOptions (the HTTP 400 class), wrapping the simulator's
 // ErrEngineUnavailable.
 func TestEstimateOverLimitProtocolIsBadOptions(t *testing.T) {
 	steane, err := Synthesize(bg, Options{})
@@ -419,11 +383,9 @@ func TestEstimateOverLimitProtocolIsBadOptions(t *testing.T) {
 	})
 	p := &Protocol{Core: &over, Options: steane.Options}
 	start := time.Now()
-	for _, engine := range []string{"", "scalar", "batch"} {
-		_, err := p.Estimate(bg, EstimateOptions{Rates: []float64{1e-3}, TargetRSE: 0.1, Engine: engine})
-		if !errors.Is(err, ErrBadOptions) || !errors.Is(err, sim.ErrEngineUnavailable) {
-			t.Errorf("engine %q: err = %v, want ErrBadOptions wrapping sim.ErrEngineUnavailable", engine, err)
-		}
+	_, err = p.Estimate(bg, EstimateOptions{Rates: []float64{1e-3}, TargetRSE: 0.1})
+	if !errors.Is(err, ErrBadOptions) || !errors.Is(err, sim.ErrEngineUnavailable) {
+		t.Errorf("err = %v, want ErrBadOptions wrapping sim.ErrEngineUnavailable", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("refusals took %v, want < 1s", elapsed)
@@ -753,6 +715,10 @@ func TestLogGrid(t *testing.T) {
 		"lo<0":      func() ([]float64, error) { return LogGrid(-1, 1e-1, 5) },
 		"hi<lo":     func() ([]float64, error) { return LogGrid(1e-1, 1e-4, 5) },
 		"points==0": func() ([]float64, error) { return LogGrid(1e-4, 1e-1, 0) },
+		"lo NaN":    func() ([]float64, error) { return LogGrid(math.NaN(), 1e-1, 3) },
+		"hi NaN":    func() ([]float64, error) { return LogGrid(1e-4, math.NaN(), 3) },
+		"lo +Inf":   func() ([]float64, error) { return LogGrid(math.Inf(1), math.Inf(1), 3) },
+		"hi +Inf":   func() ([]float64, error) { return LogGrid(1e-4, math.Inf(1), 3) },
 	} {
 		if _, err := call(); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("%s: err = %v, want ErrBadOptions", name, err)

@@ -72,14 +72,6 @@ type EstimateOptions struct {
 	// sim.DefaultWorkers() (DFTSP_WORKERS or the CPU count).
 	Workers int `json:"workers,omitempty"`
 
-	// Engine selects the Monte-Carlo engine: "" or "auto" picks the fastest
-	// (the 64-lane bit-parallel batch engine), "scalar" forces the scalar
-	// compiled engine and "batch" the batch engine. Both are the one compiled
-	// production engine; a protocol beyond its packing limits is rejected
-	// with ErrBadOptions whatever the selection. The DFTSP_ENGINE
-	// environment variable changes what "auto" resolves to.
-	Engine string `json:"engine,omitempty"`
-
 	// Bias2Q scales the two-qubit (CNOT) fault rate relative to the base
 	// physical rate: at rate p, two-qubit locations fault with probability
 	// p·Bias2Q while one-qubit locations keep p. 0 selects 1 — the paper's
@@ -252,11 +244,6 @@ type EstimateResult struct {
 	// Points is the evaluated curve, one entry per requested rate.
 	Points []RatePoint `json:"points"`
 
-	// Engine names the Monte-Carlo engine that actually sampled ("scalar"
-	// or "batch" — the resolved engine, never "auto"); empty when no point
-	// was sampled.
-	Engine string `json:"engine,omitempty"`
-
 	// MCSeconds is the wall time spent in direct Monte-Carlo sampling
 	// alone — excluding synthesis, compilation and the stratified fault
 	// enumeration — so throughput accounting (Service shots_per_sec)
@@ -269,7 +256,7 @@ type EstimateResult struct {
 // wrap ErrBadOptions.
 func (eo EstimateOptions) Validate() error {
 	for _, r := range eo.Rates {
-		if r <= 0 || r >= 1 {
+		if !(r > 0 && r < 1) {
 			return badOptions("physical rate %g outside (0,1)", r)
 		}
 	}
@@ -279,14 +266,11 @@ func (eo EstimateOptions) Validate() error {
 	if eo.MaxShots < 0 {
 		return badOptions("max_shots %d must be >= 0", eo.MaxShots)
 	}
-	if eo.TargetRSE < 0 || eo.TargetRSE >= 1 {
+	if !(eo.TargetRSE >= 0 && eo.TargetRSE < 1) {
 		return badOptions("target_rse %g outside [0,1)", eo.TargetRSE)
 	}
-	if eo.MCMinRate < 0 {
-		return badOptions("mc_min_rate %g must be >= 0", eo.MCMinRate)
-	}
-	if _, err := sim.ParseEngine(eo.Engine); err != nil {
-		return badOptions("engine %q (want auto, scalar or batch)", eo.Engine)
+	if !(eo.MCMinRate >= 0 && eo.MCMinRate < math.Inf(1)) {
+		return badOptions("mc_min_rate %g must be finite and >= 0", eo.MCMinRate)
 	}
 	if _, err := sim.ParseMethod(eo.Method); err != nil {
 		return badOptions("method %q (want auto, direct or rare)", eo.Method)
@@ -323,11 +307,11 @@ func (eo EstimateOptions) Validate() error {
 // circuit-level depolarizing model (E1_1), using the stratified fault-order
 // estimator for the curve and, when MCShots > 0 or TargetRSE > 0, direct
 // Monte-Carlo sampling as a cross-check. Every stage runs on the compiled
-// shot engine: sampling on its 64-lane bit-parallel batch form by default
-// (Engine "auto") or its scalar form, both allocation-free in steady state.
-// A protocol beyond the engine's packing limits cannot be estimated and
-// wraps ErrBadOptions (and sim.ErrEngineUnavailable). The sampling method
-// follows Method:
+// shot engine: the fault-order estimator on its scalar form and every
+// Monte-Carlo shot on its 64-lane bit-parallel batch form, both
+// allocation-free in steady state. A protocol beyond the engine's packing
+// limits cannot be estimated and wraps ErrBadOptions (and
+// sim.ErrEngineUnavailable). The sampling method follows Method:
 // "auto" (the default) switches per rate between direct sampling and the
 // rare-event conditional estimator, which resolves logical rates far below
 // 1/MaxShots by conditioning every shot on at least one fault. With
@@ -348,19 +332,9 @@ func (p *Protocol) Estimate(ctx context.Context, eo EstimateOptions) (EstimateRe
 	}
 	eo = eo.withDefaults()
 	est := sim.NewEstimator(p.Core)
-	// Validated above; only the explicit batch selection can still fail,
-	// when the protocol exceeds the engine's packing limits. "auto" (like
-	// "") keeps the estimator's default so the DFTSP_ENGINE process-wide
-	// override stays in force.
-	if engine, _ := sim.ParseEngine(eo.Engine); engine != sim.EngineAuto {
-		if err := est.SetEngine(engine); err != nil {
-			return EstimateResult{}, badOptions("%w", err)
-		}
-	}
 	// The noise ratio routes every stage: a uniform ratio (the zero value of
-	// the bias fields) resolves each Model call to the legacy scalar-rate
-	// code paths, so the paper's model stays bit-identical to earlier
-	// releases.
+	// the bias fields) takes the samplers' private uniform branches, so the
+	// paper's model stays bit-identical to earlier releases.
 	ratio := eo.NoiseRatio()
 	fo, err := est.FaultOrderModel(ctx, eo.MaxOrder, eo.Samples, rand.New(rand.NewSource(eo.Seed)), ratio)
 	if err != nil {
@@ -397,7 +371,6 @@ func (p *Protocol) Estimate(ctx context.Context, eo EstimateOptions) (EstimateRe
 			pt.Method = ar.Method.String()
 			pt.EffSamples = ar.EffectiveSamples
 			pt.WeightVar = ar.WeightVariance
-			res.Engine = est.EngineInUse().String()
 		}
 		res.Points = append(res.Points, pt)
 	}
@@ -418,16 +391,17 @@ func estimateError(err error) error {
 }
 
 // LogGrid returns points log-spaced rates in [lo, hi] inclusive, the grid
-// shape of the paper's Fig. 4. It requires lo > 0 (the spacing is
-// logarithmic), hi >= lo and points >= 1; violations wrap ErrBadOptions.
+// shape of the paper's Fig. 4. It requires finite bounds with lo > 0 (the
+// spacing is logarithmic), hi >= lo and points >= 1; violations (NaN
+// included) wrap ErrBadOptions.
 // points == 1 deliberately returns the single-point grid {lo} — hi only
 // shapes the spacing, and with one point there is no spacing to shape.
 func LogGrid(lo, hi float64, points int) ([]float64, error) {
 	switch {
-	case lo <= 0:
-		return nil, badOptions("log grid lower bound %g must be > 0", lo)
-	case hi < lo:
-		return nil, badOptions("log grid upper bound %g below lower bound %g", hi, lo)
+	case !(lo > 0 && lo < math.Inf(1)):
+		return nil, badOptions("log grid lower bound %g must be finite and > 0", lo)
+	case !(hi >= lo && hi < math.Inf(1)):
+		return nil, badOptions("log grid upper bound %g must be finite and >= lower bound %g", hi, lo)
 	case points < 1:
 		return nil, badOptions("log grid needs >= 1 points, got %d", points)
 	case points == 1:

@@ -207,7 +207,7 @@ func (s *Service) resolveEstimator(ctx context.Context, key string) (*sim.Estima
 // the stored result.
 //
 // Only eo's sampling-relevant fields enter the job spec: Rates (defaulted
-// to the paper's Fig. 4 grid), Method, Engine, TargetRSE, MaxShots, MCShots,
+// to the paper's Fig. 4 grid), Method, TargetRSE, MaxShots, MCShots,
 // Seed and the noise-model fields Bias2Q, BiasMeas and Eta (a spelled-out
 // bias of 1 normalizes away, so it cannot split the job identity). Unlike
 // Estimate, a job samples every grid point — MCMinRate
@@ -237,7 +237,6 @@ func (s *Service) SubmitJob(ctx context.Context, opts Options, eo EstimateOption
 	spec := JobSpec{
 		ProtocolKey: key,
 		Method:      d.Method,
-		Engine:      d.Engine,
 		Rates:       d.Rates,
 		TargetRSE:   d.TargetRSE,
 		MaxShots:    d.MaxShots,

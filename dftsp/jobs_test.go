@@ -143,10 +143,11 @@ func TestSubmitJobValidation(t *testing.T) {
 // memory — and finishes bit-identical to an uninterrupted estimate.
 func TestJobSurvivesServiceRestart(t *testing.T) {
 	dir := t.TempDir()
+	// Three points of three rounds each: enough work that the shutdown,
+	// issued right after the submit, lands mid-job.
 	eo := EstimateOptions{
-		Rates:   []float64{3e-2, 5e-2},
-		MCShots: 40 * sim.BlockShots,
-		Engine:  "scalar", // slow engine so the shutdown lands mid-job
+		Rates:   []float64{3e-2, 4e-2, 5e-2},
+		MCShots: 3 * sim.BlocksPerRound * sim.BlockShots,
 		Seed:    7,
 	}
 
@@ -168,7 +169,11 @@ func TestJobSurvivesServiceRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if paused.State != jobs.StatePaused && paused.State != jobs.StateDone {
+	switch paused.State {
+	case jobs.StatePaused:
+	case jobs.StateDone:
+		t.Log("job finished before the shutdown; the resume path was not exercised")
+	default:
 		t.Fatalf("after shutdown: state %s, want paused or done", paused.State)
 	}
 	if _, err := s1.SubmitJob(bg, Options{}, eo); !errors.Is(err, jobs.ErrClosed) {
@@ -229,8 +234,7 @@ func TestCancelJobKeepsCheckpoints(t *testing.T) {
 	}
 	eo := EstimateOptions{
 		Rates:   []float64{4e-2},
-		MCShots: 60 * sim.BlockShots,
-		Engine:  "scalar",
+		MCShots: 4 * sim.BlocksPerRound * sim.BlockShots,
 		Seed:    3,
 	}
 	st, err := s.SubmitJob(bg, Options{}, eo)
@@ -259,7 +263,7 @@ func TestCancelJobKeepsCheckpoints(t *testing.T) {
 			t.Fatalf("cancelled job lost its checkpoints: %+v", after)
 		}
 	case jobs.StateDone:
-		// The job outran the cancel; nothing left to assert.
+		t.Log("job outran the cancel; nothing left to assert")
 	default:
 		t.Fatalf("after cancel: state %s, want cancelled or done", after.State)
 	}

@@ -57,7 +57,7 @@ type Service struct {
 	storeWrites   *telemetry.Counter
 	writeFailures *telemetry.Counter
 	preloaded     *telemetry.Counter
-	shotsSampled  *telemetry.CounterVec // labels: engine, method
+	shotsSampled  *telemetry.CounterVec // labels: method
 	synthSeconds  *telemetry.Histogram
 	estSeconds    *telemetry.Histogram
 
@@ -146,7 +146,7 @@ func NewService(workers int) *Service {
 	s.preloaded = r.Counter("dftsp_service_preloaded_total",
 		"Protocols loaded into memory by WarmStart.")
 	s.shotsSampled = r.CounterVec("dftsp_service_shots_sampled_total",
-		"Monte-Carlo shots executed by estimation requests.", "engine", "method")
+		"Monte-Carlo shots executed by estimation requests.", "method")
 	s.synthSeconds = r.Histogram("dftsp_synthesize_seconds",
 		"Wall time of SAT protocol syntheses.", telemetry.LatencyBuckets)
 	s.estSeconds = r.Histogram("dftsp_estimate_seconds",
@@ -351,7 +351,7 @@ func (s *Service) EstimateProtocol(ctx context.Context, p *Protocol, eo Estimate
 				continue
 			}
 			shots += pt.Shots
-			s.shotsSampled.With(res.Engine, pt.Method).Add(uint64(pt.Shots))
+			s.shotsSampled.With(pt.Method).Add(uint64(pt.Shots))
 		}
 		if shots > 0 {
 			// MCSeconds covers the sampling loops alone, so the EWMA
@@ -365,7 +365,7 @@ func (s *Service) EstimateProtocol(ctx context.Context, p *Protocol, eo Estimate
 
 // recordThroughput folds one estimation job's Monte-Carlo volume into the
 // service's throughput EWMA. (The cumulative shot counter lives on the
-// registry and is incremented per point, with engine/method labels.)
+// registry and is incremented per point, with a method label.)
 func (s *Service) recordThroughput(shots int, elapsed float64) {
 	if elapsed <= 0 {
 		return

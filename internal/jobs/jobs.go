@@ -77,10 +77,10 @@ const NoiseCircuitDepolarizing = "E1_1"
 const ShardBlocks = 8
 
 // Spec is the complete, canonical identity of an estimation job: the
-// protocol (by its store key), the noise model, the sampling method and
-// engine, the point grid and the sampling budget. Two submissions with the
-// same normalized spec are the same job — they share one ID, one file and
-// one execution.
+// protocol (by its store key), the noise model, the sampling method, the
+// point grid and the sampling budget. Two submissions with the same
+// normalized spec are the same job — they share one ID, one file and one
+// execution.
 type Spec struct {
 	// ProtocolKey is the canonical options key of the protocol to
 	// estimate (dftsp Options.Key), the same string the protocol store is
@@ -95,9 +95,11 @@ type Spec struct {
 	// "direct" or "rare". "" selects "auto".
 	Method string `json:"method"`
 
-	// Engine is the Monte-Carlo engine: "auto", "scalar" or "batch".
-	// "" selects "auto". The engine is part of the job identity because
-	// batch and scalar engines draw different RNG sequences.
+	// Engine names the Monte-Carlo engine. Every job samples on the 64-lane
+	// batch engine, which "auto" and "batch" both name; "" selects "auto".
+	// The field stays in the spec because job IDs hash it, like Noise. The
+	// retired "scalar" engine drew different RNG streams, so a spec naming
+	// it is refused rather than resumed on the batch engine.
 	Engine string `json:"engine"`
 
 	// Rates is the grid of physical error rates, one job point per rate,
@@ -156,8 +158,8 @@ func (s Spec) NoiseRatio() noise.Model {
 
 // Model returns the noise model sampled at physical rate p: the spec's
 // noise ratio scaled by p. For a spec without bias fields this is
-// noise.Uniform(p), which the estimators resolve to the legacy scalar-rate
-// code paths bit-identically.
+// noise.Uniform(p), which the samplers resolve to their uniform branches
+// bit-identically.
 func (s Spec) Model(p float64) noise.Model { return s.NoiseRatio().Scale(p) }
 
 // Biased reports whether the spec selects anything other than the uniform
@@ -214,8 +216,8 @@ func (s Spec) Validate() error {
 	if _, err := sim.ParseMethod(s.Method); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	if _, err := sim.ParseEngine(s.Engine); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSpec, err)
+	if s.Engine != "auto" && s.Engine != "batch" {
+		return fmt.Errorf("%w: engine %q (want auto or batch; the scalar engine is retired)", ErrBadSpec, s.Engine)
 	}
 	if len(s.Rates) == 0 {
 		return fmt.Errorf("%w: no rates", ErrBadSpec)
@@ -229,14 +231,14 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, r := range s.Rates {
-		if r <= 0 || r >= 1 {
+		if !(r > 0 && r < 1) {
 			return fmt.Errorf("%w: physical rate %g outside (0,1)", ErrBadSpec, r)
 		}
 		if m := s.Model(r); m.MaxRate() >= 1 {
 			return fmt.Errorf("%w: biased rate %g at p = %g reaches 1", ErrBadSpec, m.MaxRate(), r)
 		}
 	}
-	if s.TargetRSE < 0 || s.TargetRSE >= 1 {
+	if !(s.TargetRSE >= 0 && s.TargetRSE < 1) {
 		return fmt.Errorf("%w: target_rse %g outside [0,1)", ErrBadSpec, s.TargetRSE)
 	}
 	if s.MCShots < 0 || s.MaxShots < 0 {

@@ -121,10 +121,10 @@ type Event struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Resolver maps a protocol key to a fresh estimator for that protocol.
-// The runner calls it once per job start; it must return an estimator not
-// shared with any other consumer (the runner selects the job's engine on
-// it). dftsp supplies a resolver backed by its protocol cache and store.
+// Resolver maps a protocol key to an estimator for that protocol. The
+// runner calls it once per job start and only reads the estimator, so it
+// may be shared. dftsp supplies a resolver backed by its protocol cache
+// and store.
 type Resolver func(ctx context.Context, protocolKey string) (*sim.Estimator, error)
 
 // errQuiesced aborts a coordinator at the next checkpoint boundary during
@@ -487,11 +487,6 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 	if err != nil {
 		return fmt.Errorf("resolve protocol: %w", err)
 	}
-	if eng, _ := sim.ParseEngine(spec.Engine); eng != sim.EngineAuto {
-		if err := est.SetEngine(eng); err != nil {
-			return err
-		}
-	}
 	reqMethod, _ := sim.ParseMethod(spec.Method) // validated with the spec
 	target, budget := spec.Budget()
 
@@ -556,8 +551,8 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 					continue
 				}
 				missing++
-				// The task carries the resolved engine and method so a
-				// remote worker samples the identical stream.
+				// The task carries the resolved method so a remote
+				// worker samples the identical stream.
 				task := shardrpc.Task{
 					ID:          shardrpc.TaskID(j.id, i, round, sh),
 					Job:         j.id,
@@ -565,7 +560,6 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 					Round:       round,
 					Shard:       sh,
 					ProtocolKey: spec.ProtocolKey,
-					Engine:      est.EngineInUse().String(),
 					Method:      method.String(),
 					Model:       model,
 					Seed:        seed,

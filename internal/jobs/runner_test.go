@@ -56,11 +56,6 @@ func singleProcessPoint(t *testing.T, spec Spec, point int) sim.AdaptiveResult {
 	t.Helper()
 	spec = spec.Normalized()
 	est := sim.NewEstimator(steaneProto(t))
-	if eng, _ := sim.ParseEngine(spec.Engine); eng != sim.EngineAuto {
-		if err := est.SetEngine(eng); err != nil {
-			t.Fatal(err)
-		}
-	}
 	method, _ := sim.ParseMethod(spec.Method)
 	target, budget := spec.Budget()
 	ar, err := est.AdaptiveModel(context.Background(), method, noise.Uniform(spec.Rates[point]), target, budget,
@@ -112,49 +107,48 @@ func waitTerminal(t *testing.T, r *Runner, id string) Status {
 	return Status{}
 }
 
-// TestJobMatchesSingleProcess is the core acceptance invariant on both
-// engines and both methods: a job executed as checkpointed shards on the
-// worker pool reproduces the single-process adaptive estimate bit for bit.
+// TestJobMatchesSingleProcess is the core acceptance invariant for both
+// methods: a job executed as checkpointed shards on the worker pool
+// reproduces the single-process adaptive estimate bit for bit. The spec
+// names the batch engine explicitly, the spelling that must keep working.
 func TestJobMatchesSingleProcess(t *testing.T) {
-	for _, engine := range []string{"batch", "scalar"} {
-		for _, method := range []string{"direct", "rare"} {
-			t.Run(engine+"/"+method, func(t *testing.T) {
-				spec := Spec{
-					ProtocolKey: testProtocolKey,
-					Method:      method,
-					Engine:      engine,
-					Rates:       []float64{3e-3, 3e-2},
-					MCShots:     3*sim.BlockShots + 1000, // clamps the final block
-					Seed:        7,
-				}
-				store, err := Open(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				r := NewRunner(store, steaneResolver(t), 3, "")
-				defer r.Close(context.Background())
-				st, err := r.Submit(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st = waitTerminal(t, r, st.ID)
-				if st.State != StateDone {
-					t.Fatalf("job state %q (err %q), want done", st.State, st.Error)
-				}
-				for i := range spec.Rates {
-					want := singleProcessPoint(t, spec, i)
-					checkPointMatches(t, fmt.Sprintf("point %d", i), st.Points[i], want)
-				}
-				// The durable state agrees with the reported one.
-				disk, err := store.Load(st.ID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !disk.Done {
-					t.Error("done job not marked done on disk")
-				}
-			})
-		}
+	for _, method := range []string{"direct", "rare"} {
+		t.Run("batch/"+method, func(t *testing.T) {
+			spec := Spec{
+				ProtocolKey: testProtocolKey,
+				Method:      method,
+				Engine:      "batch",
+				Rates:       []float64{3e-3, 3e-2},
+				MCShots:     3*sim.BlockShots + 1000, // clamps the final block
+				Seed:        7,
+			}
+			store, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := NewRunner(store, steaneResolver(t), 3, "")
+			defer r.Close(context.Background())
+			st, err := r.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = waitTerminal(t, r, st.ID)
+			if st.State != StateDone {
+				t.Fatalf("job state %q (err %q), want done", st.State, st.Error)
+			}
+			for i := range spec.Rates {
+				want := singleProcessPoint(t, spec, i)
+				checkPointMatches(t, fmt.Sprintf("point %d", i), st.Points[i], want)
+			}
+			// The durable state agrees with the reported one.
+			disk, err := store.Load(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !disk.Done {
+				t.Error("done job not marked done on disk")
+			}
+		})
 	}
 }
 
@@ -347,10 +341,11 @@ func TestCancelThenResume(t *testing.T) {
 	spec := Spec{
 		ProtocolKey: testProtocolKey,
 		Method:      "direct",
-		Engine:      "scalar", // slow enough that the cancel lands mid-run
-		Rates:       []float64{3e-2, 5e-2},
-		MCShots:     40 * sim.BlockShots,
-		Seed:        7,
+		// Three points of three rounds each: enough work that the cancel,
+		// issued at the first checkpoint, lands mid-run.
+		Rates:   []float64{3e-2, 4e-2, 5e-2},
+		MCShots: 3 * sim.BlocksPerRound * sim.BlockShots,
+		Seed:    7,
 	}
 	r := NewRunner(store, steaneResolver(t), 2, "")
 	defer r.Close(context.Background())
@@ -376,7 +371,11 @@ func TestCancelThenResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateCancelled && st.State != StateDone {
+	switch st.State {
+	case StateCancelled:
+	case StateDone:
+		t.Log("job finished before the cancel; the resume path was not exercised")
+	default:
 		t.Fatalf("after cancel: state %q", st.State)
 	}
 
@@ -404,9 +403,8 @@ func TestGracefulCloseCheckpointsAndResumes(t *testing.T) {
 	spec := Spec{
 		ProtocolKey: testProtocolKey,
 		Method:      "direct",
-		Engine:      "scalar",
-		Rates:       []float64{3e-2, 5e-2},
-		MCShots:     40 * sim.BlockShots,
+		Rates:       []float64{3e-2, 4e-2, 5e-2},
+		MCShots:     3 * sim.BlocksPerRound * sim.BlockShots,
 		Seed:        7,
 	}
 	r := NewRunner(store, steaneResolver(t), 2, "")
@@ -431,7 +429,11 @@ func TestGracefulCloseCheckpointsAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StatePaused && st.State != StateDone {
+	switch st.State {
+	case StatePaused:
+	case StateDone:
+		t.Log("job finished before the close; the resume path was not exercised")
+	default:
 		t.Fatalf("after graceful close: state %q", st.State)
 	}
 	disk, err := store.Load(st.ID)

@@ -120,24 +120,35 @@ func TestSpecValidateBias(t *testing.T) {
 	}
 }
 
-// FuzzSpecID locks the identity machinery of the noise-model fields for
-// arbitrary finite multipliers: normalization is idempotent, the ID is
-// computed over the normalized form, a multiplier of exactly 1 never splits
-// the identity, and the ID survives a JSON round trip (the on-disk header
-// encoding).
+// FuzzSpecID locks the identity machinery for arbitrary noise-model
+// multipliers, a rate and a target RSE: a spec that Validate accepts must
+// hash (ID marshals it as JSON, which cannot encode NaN or ±Inf), and for
+// every such spec — and every finite one — normalization is idempotent,
+// the ID is computed over the normalized form, a multiplier of exactly 1
+// never splits the identity, and the ID survives a JSON round trip (the
+// on-disk header encoding).
 func FuzzSpecID(f *testing.F) {
-	f.Add(1.0, 1.0, 1.0)
-	f.Add(0.0, 0.0, 0.0)
-	f.Add(2.0, 0.5, 4.0)
-	f.Add(1e-9, 1e9, 1.0)
-	f.Fuzz(func(t *testing.T, bias2q, biasMeas, eta float64) {
-		for _, v := range []float64{bias2q, biasMeas, eta} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return // rejected by Validate; JSON cannot encode them
-			}
-		}
+	f.Add(1.0, 1.0, 1.0, 1e-2, 0.0)
+	f.Add(0.0, 0.0, 0.0, 1e-3, 0.1)
+	f.Add(2.0, 0.5, 4.0, 1e-2, 0.0)
+	f.Add(1e-9, 1e9, 1.0, 1e-2, 0.0)
+	f.Add(1.0, 1.0, 1.0, math.NaN(), 0.1)
+	f.Add(1.0, 1.0, 1.0, 1e-2, math.NaN())
+	f.Fuzz(func(t *testing.T, bias2q, biasMeas, eta, rate, targetRSE float64) {
 		s := biasSpecBase()
 		s.Bias2Q, s.BiasMeas, s.Eta = bias2q, biasMeas, eta
+		s.Rates = []float64{rate}
+		s.TargetRSE = targetRSE
+
+		finite := true
+		for _, v := range []float64{bias2q, biasMeas, eta, rate, targetRSE} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				finite = false
+			}
+		}
+		if !finite && s.Validate() != nil {
+			return // refused before it can reach ID
+		}
 
 		n := s.Normalized()
 		if !reflect.DeepEqual(n, n.Normalized().Normalized()) {
@@ -175,11 +186,6 @@ func singleProcessPointModel(t *testing.T, spec Spec, point int) sim.AdaptiveRes
 	t.Helper()
 	spec = spec.Normalized()
 	est := sim.NewEstimator(steaneProto(t))
-	if eng, _ := sim.ParseEngine(spec.Engine); eng != sim.EngineAuto {
-		if err := est.SetEngine(eng); err != nil {
-			t.Fatal(err)
-		}
-	}
 	method, _ := sim.ParseMethod(spec.Method)
 	target, budget := spec.Budget()
 	ar, err := est.AdaptiveModel(context.Background(), method, spec.Model(spec.Rates[point]), target, budget,
@@ -191,57 +197,55 @@ func singleProcessPointModel(t *testing.T, spec Spec, point int) sim.AdaptiveRes
 }
 
 // TestBiasedJobMatchesSingleProcess extends the core sharding invariant to
-// biased noise models on both engines and both methods: a checkpointed,
-// pooled job under per-class rates must reproduce the in-process
-// AdaptiveModel estimate bit for bit — including the rare-event statistics
-// refinished from the durable per-class location counts.
+// biased noise models for both methods: a checkpointed, pooled job under
+// per-class rates must reproduce the in-process AdaptiveModel estimate bit
+// for bit — including the rare-event statistics refinished from the
+// durable per-class location counts.
 func TestBiasedJobMatchesSingleProcess(t *testing.T) {
-	for _, engine := range []string{"batch", "scalar"} {
-		for _, method := range []string{"direct", "rare"} {
-			t.Run(engine+"/"+method, func(t *testing.T) {
-				spec := Spec{
-					ProtocolKey: testProtocolKey,
-					Method:      method,
-					Engine:      engine,
-					Rates:       []float64{3e-3, 1e-2},
-					MCShots:     2*sim.BlockShots + 500,
-					Seed:        13,
-					Bias2Q:      2,
-					BiasMeas:    0.5,
-					Eta:         4,
-				}
-				store, err := Open(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				r := NewRunner(store, steaneResolver(t), 3, "")
-				defer r.Close(context.Background())
-				st, err := r.Submit(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st = waitTerminal(t, r, st.ID)
-				if st.State != StateDone {
-					t.Fatalf("job state %q (err %q), want done", st.State, st.Error)
-				}
-				for i := range spec.Rates {
-					want := singleProcessPointModel(t, spec, i)
-					checkPointMatches(t, fmt.Sprintf("point %d", i), st.Points[i], want)
-				}
+	for _, method := range []string{"direct", "rare"} {
+		t.Run("batch/"+method, func(t *testing.T) {
+			spec := Spec{
+				ProtocolKey: testProtocolKey,
+				Method:      method,
+				Engine:      "batch",
+				Rates:       []float64{3e-3, 1e-2},
+				MCShots:     2*sim.BlockShots + 500,
+				Seed:        13,
+				Bias2Q:      2,
+				BiasMeas:    0.5,
+				Eta:         4,
+			}
+			store, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := NewRunner(store, steaneResolver(t), 3, "")
+			defer r.Close(context.Background())
+			st, err := r.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = waitTerminal(t, r, st.ID)
+			if st.State != StateDone {
+				t.Fatalf("job state %q (err %q), want done", st.State, st.Error)
+			}
+			for i := range spec.Rates {
+				want := singleProcessPointModel(t, spec, i)
+				checkPointMatches(t, fmt.Sprintf("point %d", i), st.Points[i], want)
+			}
 
-				// The biased statistics must also survive a reload from disk:
-				// the stored per-class location counts are what pointStatus
-				// refinishes CondP and the strata weights from.
-				disk, err := store.Load(st.ID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				reloaded := pointStatuses(disk.Spec, disk.Points)
-				for i := range spec.Rates {
-					want := singleProcessPointModel(t, spec, i)
-					checkPointMatches(t, fmt.Sprintf("reloaded point %d", i), reloaded[i], want)
-				}
-			})
-		}
+			// The biased statistics must also survive a reload from disk:
+			// the stored per-class location counts are what pointStatus
+			// refinishes CondP and the strata weights from.
+			disk, err := store.Load(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reloaded := pointStatuses(disk.Spec, disk.Points)
+			for i := range spec.Rates {
+				want := singleProcessPointModel(t, spec, i)
+				checkPointMatches(t, fmt.Sprintf("reloaded point %d", i), reloaded[i], want)
+			}
+		})
 	}
 }

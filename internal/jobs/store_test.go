@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,10 +42,12 @@ func TestSpecIDCoalescesDefaults(t *testing.T) {
 	if base.ID() == changed.ID() {
 		t.Error("different methods share an ID")
 	}
+	// "batch" names the same engine as "auto" but kept its own ID: job
+	// IDs hash the spelling, and existing job files must keep theirs.
 	changed = base
-	changed.Engine = "scalar"
+	changed.Engine = "batch"
 	if base.ID() == changed.ID() {
-		t.Error("different engines share an ID")
+		t.Error("different engine spellings share an ID")
 	}
 	if len(base.ID()) != 32 {
 		t.Errorf("ID %q is not 32 hex chars", base.ID())
@@ -60,10 +63,17 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown noise", func(s *Spec) { s.Noise = "phenomenological" }},
 		{"unknown method", func(s *Spec) { s.Method = "magic" }},
 		{"unknown engine", func(s *Spec) { s.Engine = "gpu" }},
+		{"scalar engine", func(s *Spec) { s.Engine = "scalar" }},
 		{"no rates", func(s *Spec) { s.Rates = nil }},
 		{"rate at 0", func(s *Spec) { s.Rates = []float64{0} }},
 		{"rate at 1", func(s *Spec) { s.Rates = []float64{1} }},
+		{"NaN rate", func(s *Spec) { s.Rates = []float64{math.NaN()} }},
+		{"+Inf rate", func(s *Spec) { s.Rates = []float64{math.Inf(1)} }},
+		{"-Inf rate", func(s *Spec) { s.Rates = []float64{math.Inf(-1)} }},
 		{"target_rse at 1", func(s *Spec) { s.TargetRSE = 1 }},
+		{"NaN target_rse", func(s *Spec) { s.TargetRSE = math.NaN() }},
+		{"+Inf target_rse", func(s *Spec) { s.TargetRSE = math.Inf(1) }},
+		{"-Inf target_rse", func(s *Spec) { s.TargetRSE = math.Inf(-1) }},
 		{"negative budget", func(s *Spec) { s.MCShots = -1 }},
 		{"no budget", func(s *Spec) { s.MCShots = 0; s.TargetRSE = 0 }},
 	}
@@ -291,6 +301,18 @@ func TestLoadTypedErrors(t *testing.T) {
 	}
 	if _, err := st.Load(spec.ID()); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("tampered spec: %v, want ErrCorrupt", err)
+	}
+
+	// A well-formed file of a job that selected the retired scalar engine
+	// fails the loader's re-validation: it is never resumed on the batch
+	// engine, which would mix two RNG streams in one job.
+	scalar := testSpec().Normalized()
+	scalar.Engine = "scalar"
+	if err := st.init(st.path(scalar.ID()), scalar.ID(), scalar); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Load(scalar.ID()); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("scalar-engine job: %v, want ErrCorrupt", err)
 	}
 }
 

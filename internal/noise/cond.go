@@ -391,10 +391,10 @@ func (s *CondSampler) DrawMeas(active uint64) (flip uint64) {
 }
 
 // CondInjector is the scalar twin of CondSampler for the scalar shot
-// engines: one shot per Reset, the same exact >=1-fault conditional law. It
-// backs the rare-event estimator on the scalar compiled engine (the
-// "scalar" engine selection) and the scalar-vs-batch conditional
-// cross-check.
+// engines: one shot per Reset, the same exact >=1-fault conditional law.
+// No estimator samples with it; it is kept as the scalar oracle of
+// CondSampler, the role sim.Run plays for the compiled engine, and backs
+// the scalar-vs-batch conditional cross-checks.
 type CondInjector struct {
 	// P, N and CondP mirror the CondSampler fields.
 	P     float64

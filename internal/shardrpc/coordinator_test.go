@@ -63,7 +63,7 @@ func testCoord(t *testing.T, cfg Config) (*Coordinator, *fakeClock, *telemetry.R
 func testTask(id string) Task {
 	return Task{
 		ID: id, Job: "job1", Point: 0, Round: 0, Shard: 0,
-		ProtocolKey: "proto", Engine: "scalar", Method: "direct",
+		ProtocolKey: "proto", Method: "direct",
 		Seed: 42, Block0: 0, Block1: 1, Budget: sim.BlockShots,
 	}
 }

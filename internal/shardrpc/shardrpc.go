@@ -34,10 +34,9 @@ const PathPrefix = "/shardrpc/v1/"
 const LocalHolder = "local"
 
 // Task describes one shard of an estimation job: which blocks to run, with
-// which protocol, engine, method, noise model and seed. It carries the
-// coordinator's fully resolved choices — Engine and Method are never
-// "auto" — so every worker samples the exact stream the coordinator's own
-// pool would, regardless of the worker's environment.
+// which protocol, method, noise model and seed. It carries the
+// coordinator's fully resolved choices — Method is never "auto" — so every
+// worker samples the exact stream the coordinator's own pool would.
 type Task struct {
 	// ID names the task uniquely within the coordinator ("job/point/round/shard").
 	ID string `json:"id"`
@@ -52,9 +51,6 @@ type Task struct {
 	// ProtocolKey is the content address of the protocol to sample; workers
 	// resolve it from a local store or the coordinator's protocol endpoint.
 	ProtocolKey string `json:"protocol_key"`
-
-	// Engine is the resolved sampling engine ("scalar" or "batch").
-	Engine string `json:"engine"`
 
 	// Method is the resolved sampling method ("direct" or "rare").
 	Method string `json:"method"`

@@ -123,7 +123,7 @@ type AdaptiveResult struct {
 //
 // Every block's RNG stream is derived from seed via the SplitMix64
 // sequence keyed by block index, so the result is a pure function of
-// (seed, maxShots, targetRSE, engine, model) on every machine: the worker
+// (seed, maxShots, targetRSE, model) on every machine: the worker
 // count only changes wall-clock time. The final block is clamped to the
 // remaining budget, so the reported Shots never exceeds maxShots.
 // Cancelling ctx stops every worker promptly and returns ctx.Err().
@@ -145,7 +145,7 @@ func (est *Estimator) adaptive(ctx context.Context, method Method, m noise.Model
 	if maxShots <= 0 {
 		return Counts{}, AdaptiveResult{}, fmt.Errorf("%w: %d max shots", ErrBadShots, maxShots)
 	}
-	if targetRSE < 0 || targetRSE >= 1 {
+	if !(targetRSE >= 0 && targetRSE < 1) {
 		return Counts{}, AdaptiveResult{}, fmt.Errorf("%w: %g outside [0,1)", ErrBadTarget, targetRSE)
 	}
 	method, err := est.resolveMethodModel(method, m)

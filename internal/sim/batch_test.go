@@ -170,114 +170,45 @@ func TestBatchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineSelection covers the Engine plumbing: parsing, the auto
-// resolution, the scalar override and the unavailable-batch rejection.
-func TestEngineSelection(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Engine
-		ok   bool
-	}{
-		{"", EngineAuto, true},
-		{"auto", EngineAuto, true},
-		{"scalar", EngineScalar, true},
-		{"batch", EngineBatch, true},
-		{"warp", EngineAuto, false},
-	} {
-		e, err := ParseEngine(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && e != tc.want) {
-			t.Fatalf("ParseEngine(%q) = %v, %v", tc.in, e, err)
-		}
-	}
-
-	est := NewEstimator(buildProto(t, code.Steane()))
-	if est.EngineInUse() != EngineBatch {
-		t.Fatalf("auto engine resolved to %v, want batch", est.EngineInUse())
-	}
-	if err := est.SetEngine(EngineScalar); err != nil {
-		t.Fatal(err)
-	}
-	if est.EngineInUse() != EngineScalar {
-		t.Fatalf("scalar override not honored")
-	}
-	if err := est.SetEngine(EngineBatch); err != nil {
-		t.Fatal(err)
-	}
-
-	// An estimator without a compiled program must reject EngineBatch.
-	broken := &Estimator{}
-	if err := broken.SetEngine(EngineBatch); err == nil {
-		t.Fatal("EngineBatch accepted without a batch engine")
-	}
-}
-
-// TestEngineEnvDefault pins the DFTSP_ENGINE escape hatch: a fresh
-// estimator honors the process-wide override, which "auto" must not
-// displace (the facade only calls SetEngine for explicit scalar/batch).
-func TestEngineEnvDefault(t *testing.T) {
-	t.Setenv(EngineEnv, "scalar")
-	est := NewEstimator(buildProto(t, code.Steane()))
-	if est.EngineInUse() != EngineScalar {
-		t.Fatalf("DFTSP_ENGINE=scalar resolved to %v", est.EngineInUse())
-	}
-	t.Setenv(EngineEnv, "nonsense")
-	if DefaultEngine() != EngineAuto {
-		t.Fatalf("unparseable DFTSP_ENGINE did not fall back to auto")
-	}
-}
-
-// TestAdaptiveEnginesAgree runs the adaptive estimator once per engine at
-// the same physical rate and checks the two estimates agree statistically —
-// the end-to-end guarantee that swapping the engine flag does not move the
-// sampled distribution.
+// TestAdaptiveEnginesAgree runs the adaptive estimator, which samples on the
+// batch engine, and the scalar reference sampler at the same physical rate
+// and checks the two estimates agree statistically — the end-to-end
+// guarantee that the production sampler draws the scalar engine's
+// distribution.
 func TestAdaptiveEnginesAgree(t *testing.T) {
 	est := NewEstimator(buildProto(t, code.Steane()))
-	ctx := t.Context()
 	const pp, shots = 0.05, 40_000
 
-	run := func(e Engine) AdaptiveResult {
-		t.Helper()
-		if err := est.SetEngine(e); err != nil {
-			t.Fatal(err)
-		}
-		res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(pp), 0, shots, 31, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Shots != shots {
-			t.Fatalf("%v engine ran %d shots, want %d", e, res.Shots, shots)
-		}
-		return res
+	b, err := est.AdaptiveModel(t.Context(), MethodDirect, noise.Uniform(pp), 0, shots, 31, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := run(EngineScalar)
-	b := run(EngineBatch)
-	pool := (a.PL + b.PL) / 2
+	if b.Shots != shots {
+		t.Fatalf("batch engine ran %d shots, want %d", b.Shots, shots)
+	}
+	a := float64(scalarFails(est, MethodDirect, noise.Uniform(pp), shots, 31)) / shots
+	pool := (a + b.PL) / 2
 	sd := math.Sqrt(2 * pool * (1 - pool) / shots)
-	if diff := math.Abs(a.PL - b.PL); diff > 5*sd {
+	if diff := math.Abs(a - b.PL); diff > 5*sd {
 		t.Fatalf("engines disagree: scalar %.5f vs batch %.5f (diff %.5f > 5σ = %.5f)",
-			a.PL, b.PL, diff, 5*sd)
+			a, b.PL, diff, 5*sd)
 	}
 }
 
 // TestAdaptiveNeverExceedsMaxShots is the regression net for the final-round
 // clamp: with a target the sampler cannot reach, the reported shot count
 // must land exactly on maxShots — including caps that are not multiples of
-// the worker count or the 64-lane word — on both engines.
+// the worker count or the 64-lane word.
 func TestAdaptiveNeverExceedsMaxShots(t *testing.T) {
 	est := NewEstimator(buildProto(t, code.Steane()))
 	ctx := t.Context()
-	for _, engine := range []Engine{EngineScalar, EngineBatch} {
-		if err := est.SetEngine(engine); err != nil {
+	for _, maxShots := range []int{10_001, 8192, 63, 1} {
+		res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.05), 1e-9, maxShots, 7, 3)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, maxShots := range []int{10_001, 8192, 63, 1} {
-			res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.05), 1e-9, maxShots, 7, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Shots != maxShots {
-				t.Fatalf("engine %v maxShots %d: ran %d shots", engine, maxShots, res.Shots)
-			}
+		if res.Shots != maxShots {
+			t.Fatalf("maxShots %d: ran %d shots", maxShots, res.Shots)
 		}
 	}
 }

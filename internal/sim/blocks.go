@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"sort"
 
 	"repro/internal/noise"
@@ -203,16 +202,13 @@ type stratum struct{ shots, fails int }
 // accumulated Counts of a runner whose RunBlock was cut short by context
 // cancellation are partial and must be discarded, never checkpointed.
 type BlockRunner struct {
-	est    *Estimator
+	batch  *Batch
 	method Method // resolved: direct or rare
-	batch  bool
 
-	// Engine state; exactly one engine/method combination is populated.
-	inj  *noise.Depolarizing
+	// Sampler state on the 64-lane engine: smp for direct sampling, csmp
+	// for the rare-event conditional law.
 	smp  *noise.SparseSampler
-	cj   *noise.CondInjector
 	csmp *noise.CondSampler
-	sh   *Shot
 	bs   *BatchShot
 
 	shots  int64
@@ -224,10 +220,8 @@ type BlockRunner struct {
 // may be MethodAuto, which resolves through the crossover policy
 // (CrossoverModel); an explicit MethodRare requires every class rate below 1
 // and a model that can fire at least one fault on the protocol
-// (ErrBadRate). The runner samples on the estimator's selected engine
-// (SetEngine), which is part of the deterministic identity of the stream:
-// batch and scalar engines draw different RNG sequences. A protocol that
-// did not compile returns ErrEngineUnavailable.
+// (ErrBadRate). Every block runs on the 64-lane Batch engine. A protocol
+// that did not compile returns ErrEngineUnavailable.
 func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*BlockRunner, error) {
 	if est.err != nil {
 		return nil, est.err
@@ -236,24 +230,11 @@ func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*Bl
 	if err != nil {
 		return nil, err
 	}
-	r := &BlockRunner{est: est, method: m, batch: est.useBatch()}
+	r := &BlockRunner{batch: est.batch, method: m, bs: est.batch.NewShot()}
 	if m == MethodRare {
-		kinds := est.LocationKinds()
-		if r.batch {
-			r.csmp = noise.NewCondSamplerModel(model, kinds, 0)
-			r.bs = est.batch.NewShot()
-		} else {
-			r.cj = noise.NewCondInjectorModel(model, kinds, 0)
-			r.sh = est.prog.NewShot()
-		}
-		return r, nil
-	}
-	if r.batch {
-		r.smp = noise.NewSparseSamplerModel(model, 0)
-		r.bs = est.batch.NewShot()
+		r.csmp = noise.NewCondSamplerModel(model, est.LocationKinds(), 0)
 	} else {
-		r.inj = noise.NewDepolarizing(model, rand.New(rand.NewSource(0)))
-		r.sh = est.prog.NewShot()
+		r.smp = noise.NewSparseSamplerModel(model, 0)
 	}
 	return r, nil
 }
@@ -270,61 +251,8 @@ func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) int {
 	count := 0
 	defer func() { r.fails += int64(count) }()
 
-	est := r.est
 	if r.method == MethodRare {
-		if r.batch {
-			r.csmp.Reseed(blockSeed(seed, b))
-			for i := 0; i < n; i += 64 {
-				if ctx.Err() != nil {
-					return count
-				}
-				live := ^uint64(0)
-				if rem := n - i; rem < 64 {
-					live = 1<<uint(rem) - 1
-				}
-				r.csmp.Reset(live)
-				est.batch.Run(r.bs, r.csmp, live)
-				failed := est.batch.Judge(r.bs) & live
-				count += bits.OnesCount64(failed)
-				for l := live; l != 0; l &= l - 1 {
-					lane := uint(bits.TrailingZeros64(l))
-					k := int(r.csmp.Faults[lane])
-					if k > rareMaxW {
-						k = rareMaxW
-					}
-					r.strata[k].shots++
-					if failed>>lane&1 == 1 {
-						r.strata[k].fails++
-					}
-				}
-			}
-		} else {
-			r.cj.Reseed(blockSeed(seed, b))
-			for i := 0; i < n; i++ {
-				if i%ctxPollShots == 0 && ctx.Err() != nil {
-					return count
-				}
-				r.cj.Reset()
-				est.prog.Run(r.sh, r.cj)
-				k := r.cj.Faults
-				if k > rareMaxW {
-					k = rareMaxW
-				}
-				r.strata[k].shots++
-				if est.prog.Judge(r.sh) {
-					r.strata[k].fails++
-					count++
-				}
-			}
-		}
-		return count
-	}
-
-	if r.batch {
-		r.smp.Reseed(blockSeed(seed, b))
-		// One 64-lane word per iteration; the final word is masked to the
-		// remainder so exactly n shots run and the reported total can never
-		// exceed the budget.
+		r.csmp.Reseed(blockSeed(seed, b))
 		for i := 0; i < n; i += 64 {
 			if ctx.Err() != nil {
 				return count
@@ -333,20 +261,39 @@ func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) int {
 			if rem := n - i; rem < 64 {
 				live = 1<<uint(rem) - 1
 			}
-			est.batch.Run(r.bs, r.smp, live)
-			count += bits.OnesCount64(est.batch.Judge(r.bs))
-		}
-	} else {
-		r.inj.Rng.Seed(int64(blockSeed(seed, b)))
-		for i := 0; i < n; i++ {
-			if i%ctxPollShots == 0 && ctx.Err() != nil {
-				return count
+			r.csmp.Reset(live)
+			r.batch.Run(r.bs, r.csmp, live)
+			failed := r.batch.Judge(r.bs) & live
+			count += bits.OnesCount64(failed)
+			for l := live; l != 0; l &= l - 1 {
+				lane := uint(bits.TrailingZeros64(l))
+				k := int(r.csmp.Faults[lane])
+				if k > rareMaxW {
+					k = rareMaxW
+				}
+				r.strata[k].shots++
+				if failed>>lane&1 == 1 {
+					r.strata[k].fails++
+				}
 			}
-			est.prog.Run(r.sh, r.inj)
-			if est.prog.Judge(r.sh) {
-				count++
-			}
 		}
+		return count
+	}
+
+	r.smp.Reseed(blockSeed(seed, b))
+	// One 64-lane word per iteration; the final word is masked to the
+	// remainder so exactly n shots run and the reported total can never
+	// exceed the budget.
+	for i := 0; i < n; i += 64 {
+		if ctx.Err() != nil {
+			return count
+		}
+		live := ^uint64(0)
+		if rem := n - i; rem < 64 {
+			live = 1<<uint(rem) - 1
+		}
+		r.batch.Run(r.bs, r.smp, live)
+		count += bits.OnesCount64(r.batch.Judge(r.bs))
 	}
 	return count
 }

@@ -39,17 +39,16 @@ var (
 // eigenstate (a logical Z for |0>_L, flipped by residual X errors).
 //
 // NewEstimator compiles the protocol into a Program and its 64-lane Batch,
-// the one production shot engine: every entry point (FaultOrderModel,
-// AdaptiveModel, RareEventAdaptiveModel, NewBlockRunnerModel,
-// NonDeterministicStats) runs on it. The reference executor Run is kept
-// only as a test oracle. A protocol beyond the engine's packing limits has
-// no engine; the entry points then return ErrEngineUnavailable.
+// the one production shot engine. Every shot of the adaptive estimators
+// (AdaptiveModel, RareEventAdaptiveModel, NewBlockRunnerModel) runs on the
+// Batch; FaultOrderModel and NonDeterministicStats run on the scalar
+// Program. The reference executor Run is kept only as a test oracle. A protocol beyond the engine's packing limits
+// has no engine; the entry points then return ErrEngineUnavailable.
 type Estimator struct {
-	P      *core.Protocol
-	prog   *Program // compiled shot engine; nil if compilation failed
-	batch  *Batch   // 64-lane engine over prog; nil if compilation failed
-	err    error    // why compilation failed, wrapping ErrEngineUnavailable
-	engine Engine   // requested engine; resolved by useBatch
+	P     *core.Protocol
+	prog  *Program // compiled shot engine; nil if compilation failed
+	batch *Batch   // 64-lane engine over prog; nil if compilation failed
+	err   error    // why compilation failed, wrapping ErrEngineUnavailable
 }
 
 // LocationKinds returns the location-kind vector of the protocol's
@@ -73,11 +72,9 @@ func (est *Estimator) ClassCounts() [3]int {
 // NewEstimator compiles the shot program plus its 64-lane batch engine;
 // Judge shares the program's dense decoder. A protocol beyond the packing
 // limits gets an estimator whose entry points return the compile error
-// wrapped in ErrEngineUnavailable. The sampling engine defaults to
-// DefaultEngine() — batch unless DFTSP_ENGINE says otherwise; override with
-// SetEngine.
+// wrapped in ErrEngineUnavailable.
 func NewEstimator(p *core.Protocol) *Estimator {
-	est := &Estimator{P: p, engine: DefaultEngine()}
+	est := &Estimator{P: p}
 	prog, err := Compile(p)
 	if err != nil {
 		est.err = fmt.Errorf("%w: %w", ErrEngineUnavailable, err)

@@ -475,9 +475,10 @@ func TestRareMatchesDirectBiased(t *testing.T) {
 }
 
 // TestBatchMatchesScalarBiased is the biased cross-engine acceptance test:
-// direct Monte-Carlo of the same biased model on the scalar and batch
-// engines (independent RNG streams) must agree within a 5-sigma
-// two-proportion bound on each code family.
+// direct Monte-Carlo of the same biased model on the batch engine (the
+// adaptive estimator) and the scalar reference sampler (independent RNG
+// streams) must agree within a 5-sigma two-proportion bound on each code
+// family.
 func TestBatchMatchesScalarBiased(t *testing.T) {
 	ctx := context.Background()
 	m := biasedTestModel(2e-2)
@@ -485,34 +486,23 @@ func TestBatchMatchesScalarBiased(t *testing.T) {
 	for _, cs := range rareCodes {
 		cs := cs
 		t.Run(cs.Name, func(t *testing.T) {
-			p := buildProto(t, cs)
+			est := NewEstimator(buildProto(t, cs))
+			sFails := scalarFails(est, MethodDirect, m, shots, 31)
+			sPL := float64(sFails) / shots
 
-			scalar := NewEstimator(p)
-			if err := scalar.SetEngine(EngineScalar); err != nil {
-				t.Fatal(err)
-			}
-			sres, err := scalar.AdaptiveModel(ctx, MethodDirect, m, 0, shots, 31, 0)
+			bres, err := est.AdaptiveModel(ctx, MethodDirect, m, 0, shots, 37, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			batch := NewEstimator(p)
-			if err := batch.SetEngine(EngineBatch); err != nil {
-				t.Fatal(err)
+			if sFails == 0 || bres.Fails == 0 {
+				t.Fatalf("degenerate sample: scalar %d, batch %d fails", sFails, bres.Fails)
 			}
-			bres, err := batch.AdaptiveModel(ctx, MethodDirect, m, 0, shots, 37, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if sres.Fails == 0 || bres.Fails == 0 {
-				t.Fatalf("degenerate sample: scalar %d, batch %d fails", sres.Fails, bres.Fails)
-			}
-			n1, n2 := float64(sres.Shots), float64(bres.Shots)
-			pooled := float64(sres.Fails+bres.Fails) / (n1 + n2)
+			n1, n2 := float64(shots), float64(bres.Shots)
+			pooled := float64(sFails+bres.Fails) / (n1 + n2)
 			se := math.Sqrt(pooled * (1 - pooled) * (1/n1 + 1/n2))
-			if z := math.Abs(sres.PL-bres.PL) / se; z > 5 {
-				t.Fatalf("engines disagree under bias: scalar %.6g vs batch %.6g (z = %.2f)", sres.PL, bres.PL, z)
+			if z := math.Abs(sPL-bres.PL) / se; z > 5 {
+				t.Fatalf("engines disagree under bias: scalar %.6g vs batch %.6g (z = %.2f)", sPL, bres.PL, z)
 			}
 		})
 	}

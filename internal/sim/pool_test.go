@@ -198,8 +198,8 @@ func TestCountsResultValidation(t *testing.T) {
 // shards, running each shard on its own BlockRunner (fresh engine state,
 // like a worker that just stole the shard — or a process that resumed from
 // a checkpoint), pooling the counts and finishing the pool must reproduce
-// the single-process adaptive result bit-identically, on both engines and
-// both methods.
+// the single-process adaptive result bit-identically, for both methods.
+// (Subtests keep the "batch/" prefix of the engine the runners sample on.)
 func TestBlockRunnerShardsMatchAdaptive(t *testing.T) {
 	const (
 		p        = 2e-2
@@ -209,56 +209,49 @@ func TestBlockRunnerShardsMatchAdaptive(t *testing.T) {
 	est := NewEstimator(buildProto(t, code.Steane()))
 	ctx := context.Background()
 
-	for _, engine := range []Engine{EngineBatch, EngineScalar} {
-		for _, method := range []Method{MethodDirect, MethodRare} {
-			t.Run(engine.String()+"/"+method.String(), func(t *testing.T) {
-				if err := est.SetEngine(engine); err != nil {
-					t.Fatal(err)
-				}
-				defer est.SetEngine(EngineAuto)
-
-				var want AdaptiveResult
-				if method == MethodRare {
-					r, err := est.RareEventAdaptive(ctx, p, 0, maxShots, seed, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want = r.AdaptiveResult
-				} else {
-					var err error
-					want, err = est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(p), 0, maxShots, seed, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-
-				// Shard the block grid unevenly: blocks {0}, {1,2}, {3}.
-				totalBlocks := (maxShots + BlockShots - 1) / BlockShots
-				shards := [][]int{{0}, {1, 2}, {3}}
-				var parts []Counts
-				for _, blocks := range shards {
-					r, err := est.NewBlockRunnerModel(method, noise.Uniform(p))
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, b := range blocks {
-						if b >= totalBlocks {
-							t.Fatalf("shard block %d outside the %d-block grid", b, totalBlocks)
-						}
-						r.RunBlock(ctx, seed, b, ShotsInBlock(b, maxShots))
-					}
-					parts = append(parts, r.Counts())
-				}
-				got, err := PoolCounts(parts...).ResultModel(method, noise.Uniform(p), est.ClassCounts())
+	for _, method := range []Method{MethodDirect, MethodRare} {
+		t.Run("batch/"+method.String(), func(t *testing.T) {
+			var want AdaptiveResult
+			if method == MethodRare {
+				r, err := est.RareEventAdaptive(ctx, p, 0, maxShots, seed, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
-
-				want.ShotsPerSec, got.ShotsPerSec = 0, 0 // wall-clock, not part of the invariant
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("pooled shard result diverges from single-process run:\n got %+v\nwant %+v", got, want)
+				want = r.AdaptiveResult
+			} else {
+				var err error
+				want, err = est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(p), 0, maxShots, seed, 3)
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+			}
+
+			// Shard the block grid unevenly: blocks {0}, {1,2}, {3}.
+			totalBlocks := (maxShots + BlockShots - 1) / BlockShots
+			shards := [][]int{{0}, {1, 2}, {3}}
+			var parts []Counts
+			for _, blocks := range shards {
+				r, err := est.NewBlockRunnerModel(method, noise.Uniform(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range blocks {
+					if b >= totalBlocks {
+						t.Fatalf("shard block %d outside the %d-block grid", b, totalBlocks)
+					}
+					r.RunBlock(ctx, seed, b, ShotsInBlock(b, maxShots))
+				}
+				parts = append(parts, r.Counts())
+			}
+			got, err := PoolCounts(parts...).ResultModel(method, noise.Uniform(p), est.ClassCounts())
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			want.ShotsPerSec, got.ShotsPerSec = 0, 0 // wall-clock, not part of the invariant
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("pooled shard result diverges from single-process run:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }

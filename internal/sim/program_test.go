@@ -223,6 +223,9 @@ func TestEstimatorValidation(t *testing.T) {
 			_, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.01), 1, 100, 1, 2)
 			return err
 		}, ErrBadTarget},
+		{"Adaptive NaN target", func() error { return direct(math.NaN(), 100, 2) }, ErrBadTarget},
+		{"Adaptive +Inf target", func() error { return direct(math.Inf(1), 100, 2) }, ErrBadTarget},
+		{"Adaptive -Inf target", func() error { return direct(math.Inf(-1), 100, 2) }, ErrBadTarget},
 		{"FaultOrder zero samples", func() error { _, err := est.FaultOrder(ctx, 2, 0, rng()); return err }, ErrBadSamples},
 		{"FaultOrder negative samples", func() error { _, err := est.FaultOrder(ctx, 3, -10, rng()); return err }, ErrBadSamples},
 		{"FaultOrder negative order", func() error { _, err := est.FaultOrder(ctx, -1, 100, rng()); return err }, ErrBadOrder},
@@ -295,7 +298,6 @@ func TestOverLimitProtocolEngineUnavailable(t *testing.T) {
 			_, err := est.NonDeterministicStats(1e-3, 1000, 10, rng)
 			return err
 		}},
-		{"SetEngine batch", func() error { return est.SetEngine(EngineBatch) }},
 	}
 	for _, tc := range cases {
 		if err := tc.run(); !errors.Is(err, ErrEngineUnavailable) {

@@ -216,98 +216,80 @@ func TestCondWeightsBoundaries(t *testing.T) {
 // TestAdaptiveWorkerDeterminism is the regression test for the
 // block-scheduled sampling rework: with a fixed seed, the pooled
 // (shots, fails) of an adaptive run — and the full strata of a rare-event
-// run — must be identical across worker counts for every engine × method
-// combination, because RNG streams are keyed by block index, not worker.
+// run — must be identical across worker counts for both methods, because
+// RNG streams are keyed by block index, not worker.
 func TestAdaptiveWorkerDeterminism(t *testing.T) {
 	ctx := context.Background()
 	est := NewEstimator(buildProto(t, code.Steane()))
 	const p = 0.02
 	const seed = 5
 
-	for _, engine := range []Engine{EngineBatch, EngineScalar} {
-		if err := est.SetEngine(engine); err != nil {
-			t.Fatal(err)
+	for _, method := range []Method{MethodDirect, MethodRare} {
+		type outcome struct {
+			shots, fails int
+			strata       []RareStratum
 		}
-		for _, method := range []Method{MethodDirect, MethodRare} {
-			type outcome struct {
-				shots, fails int
-				strata       []RareStratum
+		var ref *outcome
+		for _, workers := range []int{1, 2, 5} {
+			var got outcome
+			if method == MethodRare {
+				res, err := est.RareEventAdaptive(ctx, p, 0.08, 300_000, seed, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = outcome{res.Shots, res.Fails, res.Strata}
+			} else {
+				res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(p), 0.08, 300_000, seed, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = outcome{shots: res.Shots, fails: res.Fails}
 			}
-			var ref *outcome
-			for _, workers := range []int{1, 2, 5} {
-				var got outcome
-				if method == MethodRare {
-					res, err := est.RareEventAdaptive(ctx, p, 0.08, 300_000, seed, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got = outcome{res.Shots, res.Fails, res.Strata}
-				} else {
-					res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(p), 0.08, 300_000, seed, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got = outcome{shots: res.Shots, fails: res.Fails}
-				}
-				if ref == nil {
-					r := got
-					ref = &r
-					continue
-				}
-				if got.shots != ref.shots || got.fails != ref.fails {
-					t.Errorf("%v/%v: workers=%d got (%d, %d), workers=1 got (%d, %d)",
-						engine, method, workers, got.shots, got.fails, ref.shots, ref.fails)
-				}
-				if !reflect.DeepEqual(got.strata, ref.strata) {
-					t.Errorf("%v/%v: workers=%d strata %v != %v", engine, method, workers, got.strata, ref.strata)
-				}
+			if ref == nil {
+				r := got
+				ref = &r
+				continue
 			}
-			if ref.fails == 0 {
-				t.Errorf("%v/%v: degenerate run, no failures at p=%g", engine, method, p)
+			if got.shots != ref.shots || got.fails != ref.fails {
+				t.Errorf("%v: workers=%d got (%d, %d), workers=1 got (%d, %d)",
+					method, workers, got.shots, got.fails, ref.shots, ref.fails)
+			}
+			if !reflect.DeepEqual(got.strata, ref.strata) {
+				t.Errorf("%v: workers=%d strata %v != %v", method, workers, got.strata, ref.strata)
 			}
 		}
-	}
-	if err := est.SetEngine(EngineAuto); err != nil {
-		t.Fatal(err)
+		if ref.fails == 0 {
+			t.Errorf("%v: degenerate run, no failures at p=%g", method, p)
+		}
 	}
 }
 
 // TestRareEnginesAgree pins the batch conditional sampler to the scalar
 // conditional injector statistically: the two engines draw from the same
-// conditional law through entirely different code paths, so their PL
-// estimates at matched budgets must agree within 5 sigma.
+// conditional law through entirely different code paths, so their
+// conditional failure proportions at matched budgets must agree within
+// 5 sigma.
 func TestRareEnginesAgree(t *testing.T) {
 	ctx := context.Background()
 	est := NewEstimator(buildProto(t, code.Steane()))
 	const p = 0.01
 	const shots = 128 * 1024
 
-	if err := est.SetEngine(EngineBatch); err != nil {
-		t.Fatal(err)
-	}
 	batch, err := est.RareEventAdaptive(ctx, p, 0, shots, 31, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := est.SetEngine(EngineScalar); err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := est.RareEventAdaptive(ctx, p, 0, shots, 41, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := est.SetEngine(EngineAuto); err != nil {
-		t.Fatal(err)
-	}
+	sFails := scalarFails(est, MethodRare, noise.Uniform(p), shots, 41)
+	scalarQ := float64(sFails) / shots
 
-	if batch.Fails == 0 || scalar.Fails == 0 {
-		t.Fatalf("degenerate sample: batch %d, scalar %d fails", batch.Fails, scalar.Fails)
+	if batch.Fails == 0 || sFails == 0 {
+		t.Fatalf("degenerate sample: batch %d, scalar %d fails", batch.Fails, sFails)
 	}
-	pool := (batch.Q + scalar.Q) / 2
+	pool := (batch.Q + scalarQ) / 2
 	sd := math.Sqrt(2 * pool * (1 - pool) / shots)
-	if diff := math.Abs(batch.Q - scalar.Q); diff > 5*sd {
+	if diff := math.Abs(batch.Q - scalarQ); diff > 5*sd {
 		t.Fatalf("conditional engines disagree: batch q=%.5f vs scalar q=%.5f (diff > 5σ = %.5f)",
-			batch.Q, scalar.Q, 5*sd)
+			batch.Q, scalarQ, 5*sd)
 	}
 }
 

@@ -42,6 +42,33 @@ func (b *Batch) sample(bs *BatchShot, inj noise.BatchInjector, shots int) int {
 	return fails
 }
 
+// scalarFails is the scalar reference sampler of the statistical agreement
+// tests: shots shots of the compiled Program, one at a time, with faults
+// from the scalar injectors — noise.NewDepolarizing of model m for
+// MethodDirect, or noise.NewCondInjectorModel's >= 1-fault conditional law
+// for MethodRare — seeded from seed. It returns the failure count.
+func scalarFails(est *Estimator, method Method, m noise.Model, shots int, seed int64) int {
+	var inj noise.Injector
+	reset := func() {}
+	if method == MethodRare {
+		cond := noise.NewCondInjectorModel(m, est.LocationKinds(), uint64(seed))
+		inj, reset = cond, cond.Reset
+	} else {
+		inj = noise.NewDepolarizing(m, rand.New(rand.NewSource(seed)))
+	}
+	prog := est.Program()
+	sh := prog.NewShot()
+	fails := 0
+	for range shots {
+		reset()
+		prog.Run(sh, inj)
+		if prog.Judge(sh) {
+			fails++
+		}
+	}
+	return fails
+}
+
 func buildProto(t *testing.T, cs *code.CSS) *core.Protocol {
 	t.Helper()
 	p, err := core.Build(context.Background(), cs, core.Config{Prep: core.PrepHeuristic, Verif: core.VerifOptimal})
