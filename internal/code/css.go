@@ -16,6 +16,11 @@ import (
 )
 
 // CSS is a Calderbank-Shor-Steane stabilizer code.
+//
+// A code is immutable after New: the distance and the per-sector coset
+// quotients behind ReducedWeight and CosetRep are computed lazily from the
+// matrices and cached, so the matrices must not be modified once the code
+// is built. Every method is safe for concurrent use.
 type CSS struct {
 	Name string
 	N    int // physical qubits
@@ -29,6 +34,9 @@ type CSS struct {
 
 	distOnce sync.Once
 	dist     int // cached distance, computed once under distOnce
+
+	quotOnce [2]sync.Once
+	quot     [2]*f2.Quotient // ReductionGroup quotient per sector, built once under quotOnce
 }
 
 // New validates the check matrices, reduces them to full rank and computes
@@ -168,9 +176,10 @@ func (c *CSS) XStabilizerGroup() *f2.Mat {
 // Hadamard, the preparation of |+...+>_L for the original code; this is the
 // standard X↔Z mirror trick.
 func (c *CSS) Dual() *CSS {
-	// The distance cache is deliberately not carried over: reading c.dist
-	// here would race with a concurrent c.Distance(), and the dual's own
-	// once-guard would ignore a pre-seeded value anyway.
+	// The distance and quotient caches are deliberately not carried over:
+	// reading them here would race with a concurrent first use, and the
+	// dual's own once-guards would ignore pre-seeded values anyway (the
+	// dual's sectors are swapped, too).
 	return &CSS{
 		Name: c.Name + "-dual",
 		N:    c.N,

@@ -19,6 +19,7 @@ func (t ErrType) Opposite() ErrType {
 	return ErrX
 }
 
+// String returns "X" or "Z".
 func (t ErrType) String() string {
 	if t == ErrX {
 		return "X"
@@ -48,9 +49,10 @@ func (c *CSS) ReductionGroup(t ErrType) *f2.Mat {
 }
 
 // ReducedWeight returns wt_S(e) for an error e of sector t on |0...0>_L:
-// the minimum weight over the coset e + ReductionGroup(t).
+// the minimum weight over the coset e + ReductionGroup(t). It reads a
+// coset-leader table built on the sector's first query.
 func (c *CSS) ReducedWeight(t ErrType, e f2.Vec) int {
-	return f2.CosetMinWeight(e, c.ReductionGroup(t))
+	return c.quotient(t).Weight(e)
 }
 
 // CosetRep returns the canonical representative of e modulo
@@ -58,13 +60,16 @@ func (c *CSS) ReducedWeight(t ErrType, e f2.Vec) int {
 // errors are equivalent on |0...0>_L exactly when their representatives are
 // equal.
 func (c *CSS) CosetRep(t ErrType, e f2.Vec) f2.Vec {
-	red := c.ReductionGroup(t).SpanBasis()
-	out := e.Clone()
-	for i := 0; i < red.Rows(); i++ {
-		p := red.Row(i).FirstOne()
-		if p >= 0 && out.Get(p) {
-			out.XorInPlace(red.Row(i))
-		}
+	return c.quotient(t).Rep(e)
+}
+
+// quotient returns the sector's ReductionGroup quotient, building it on
+// first use.
+func (c *CSS) quotient(t ErrType) *f2.Quotient {
+	i := 0
+	if t != ErrX {
+		i = 1 // ReductionGroup treats every non-X sector as Z
 	}
-	return out
+	c.quotOnce[i].Do(func() { c.quot[i] = f2.NewQuotient(c.ReductionGroup(t)) })
+	return c.quot[i]
 }

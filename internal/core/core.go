@@ -103,6 +103,7 @@ const (
 	PrepOptimal
 )
 
+// String returns the paper's column label, "Heu" or "Opt".
 func (m PrepMethod) String() string {
 	if m == PrepOptimal {
 		return "Opt"
@@ -119,6 +120,7 @@ const (
 	VerifGlobal                     // explore all optimal verifications, keep the best overall
 )
 
+// String returns the paper's column label, "Opt" or "Global".
 func (m VerifMethod) String() string {
 	if m == VerifGlobal {
 		return "Global"

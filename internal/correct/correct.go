@@ -94,12 +94,16 @@ func Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec, opt Option
 	if len(errs) == 0 {
 		return &Block{Recovery: map[string]f2.Vec{}}, nil
 	}
+	p := newProblem(det, red, errs, opt)
 	maxU := opt.MaxU
 	if maxU <= 0 {
-		maxU = det.SpanBasis().Rows()
+		maxU = p.gens.Rows()
 	}
 	for u := 0; u <= maxU; u++ {
-		blk, err := solveCorrection(ctx, det, red, errs, u, -1, opt)
+		if u == 0 && !p.sharedRecovery() {
+			continue // decided in closed form: no u = 0 solution
+		}
+		blk, err := p.solve(ctx, u, -1)
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +118,7 @@ func Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec, opt Option
 		lo, hi := u, best.CNOTs()-1
 		for lo <= hi {
 			mid := (lo + hi) / 2
-			cand, err := solveCorrection(ctx, det, red, errs, u, mid, opt)
+			cand, err := p.solve(ctx, u, mid)
 			if err != nil {
 				return nil, err
 			}
@@ -130,8 +134,63 @@ func Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec, opt Option
 	return nil, fmt.Errorf("correct: no correction with up to %d measurements; class has inequivalent errors sharing the full syndrome", maxU)
 }
 
-// solveCorrection decides a single (u, v) instance; v < 0 disables the
-// weight bound. It returns nil if unsatisfiable.
+// problem is what every (u, v) instance of one Synthesize call shares.
+type problem struct {
+	gens *f2.Mat      // RREF basis of the detection group
+	quot *f2.Quotient // errors modulo the reduction group
+	errs []f2.Vec
+
+	// apart[k1*len(errs)+k2] (k1 < k2) marks pairs that cannot share a
+	// recovery: wt_S(errs[k1] ⊕ errs[k2]) > 2. nil under NoPairPruning.
+	apart []bool
+}
+
+func newProblem(det, red *f2.Mat, errs []f2.Vec, opt Options) *problem {
+	p := &problem{gens: det.SpanBasis(), quot: f2.NewQuotient(red), errs: errs}
+	if !opt.NoPairPruning {
+		m := len(errs)
+		p.apart = make([]bool, m*m)
+		for k1 := 0; k1 < m; k1++ {
+			for k2 := k1 + 1; k2 < m; k2++ {
+				p.apart[k1*m+k2] = p.quot.Weight(errs[k1].Xor(errs[k2])) > 2
+			}
+		}
+	}
+	return p
+}
+
+// sharedRecovery decides the u = 0 instance exactly: whether one recovery c
+// reduces every error to wt_S(e ⊕ c) ≤ 1. Such a c has wt_S(errs[0] ⊕ c) ≤ 1,
+// so modulo the reduction group c is errs[0] or errs[0] ⊕ x_q for some qubit
+// q, and wt_S(e ⊕ c) depends on c only through its coset; these n+1
+// candidates decide the instance. The solver needs tens of thousands of
+// conflicts to refute some of these instances.
+func (p *problem) sharedRecovery() bool {
+	c := p.errs[0].Clone()
+	fits := func() bool {
+		for _, e := range p.errs {
+			if p.quot.Weight(e.Xor(c)) > 1 {
+				return false
+			}
+		}
+		return true
+	}
+	if fits() {
+		return true
+	}
+	for q := 0; q < c.Len(); q++ {
+		c.Flip(q)
+		ok := fits()
+		c.Flip(q)
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
+// solve decides a single (u, v) instance; v < 0 disables the weight bound.
+// It returns nil if unsatisfiable.
 //
 // Encoding: instead of materializing all 2^u syndrome cells, each error gets
 // its own recovery vector c_e, and equal syndromes force equal recoveries
@@ -139,9 +198,8 @@ func Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec, opt Option
 // cell formulation but linear in u. Pairs of errors that cannot share any
 // recovery — exactly those with reduced weight wt_S(e ⊕ e') > 2 — directly
 // require differing syndromes, which prunes the search substantially.
-func solveCorrection(ctx context.Context, det, red *f2.Mat, errs []f2.Vec, u, v int, opt Options) (*Block, error) {
-	gens := det.SpanBasis()
-	redGens := red.SpanBasis()
+func (p *problem) solve(ctx context.Context, u, v int) (*Block, error) {
+	gens, redGens, errs := p.gens, p.quot.Basis(), p.errs
 	r := gens.Rows()
 	n := gens.Cols()
 	rr := redGens.Rows()
@@ -218,8 +276,7 @@ func solveCorrection(ctx context.Context, det, red *f2.Mat, errs []f2.Vec, u, v 
 	// separated by some measurement.
 	for k1 := 0; k1 < len(errs); k1++ {
 		for k2 := k1 + 1; k2 < len(errs); k2++ {
-			diff := errs[k1].Xor(errs[k2])
-			if !opt.NoPairPruning && f2.CosetMinWeight(diff, redGens) > 2 {
+			if p.apart != nil && p.apart[k1*len(errs)+k2] {
 				// No shared recovery exists: require σ(e1) != σ(e2).
 				var disj []sat.Lit
 				for i := 0; i < u; i++ {

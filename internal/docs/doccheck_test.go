@@ -1,12 +1,14 @@
 // Package docs holds repository-wide documentation enforcement: its test
 // fails the build when an exported identifier of the public facade (dftsp),
 // the persistence and serving layers (internal/store, internal/jobs,
-// internal/telemetry, internal/shardrpc) or the simulation layers
-// (internal/sim, internal/decoder, internal/noise) lacks a doc comment,
-// which is what keeps "every exported identifier is documented" true over
-// time instead of being a one-off cleanup. A second test keeps the CI
-// workflow's name-selected steps (-run and -fuzz patterns) matching tests
-// that exist. CI runs both as part of the docs job.
+// internal/telemetry, internal/shardrpc), the simulation layers
+// (internal/sim, internal/decoder, internal/noise) or the synthesis layers
+// (internal/code, internal/correct, internal/core, internal/f2,
+// internal/verify, internal/sat, internal/cnf, internal/prep) lacks a doc
+// comment, which is what keeps "every exported identifier is documented"
+// true over time instead of being a one-off cleanup. A second test keeps
+// the CI workflow's name-selected steps (-run and -fuzz patterns) matching
+// tests that exist. CI runs both as part of the docs job.
 package docs
 
 import (
@@ -30,6 +32,14 @@ var checkedPackages = []string{
 	"../../internal/sim",
 	"../../internal/decoder",
 	"../../internal/noise",
+	"../../internal/code",
+	"../../internal/correct",
+	"../../internal/core",
+	"../../internal/f2",
+	"../../internal/verify",
+	"../../internal/sat",
+	"../../internal/cnf",
+	"../../internal/prep",
 }
 
 func TestExportedIdentifiersAreDocumented(t *testing.T) {
